@@ -35,9 +35,6 @@ BOUNDARY_ZERO_TOL = 1e-6
 #: Pass tolerance added to the right-hand side (the left side is an integer).
 PASS_TOL = 1e-6
 
-#: inf |W| below this multiple of sup |W| counts as boundary vanishing.
-WRONSKIAN_VANISHING_REL = 1e-12
-
 _ORDER_RESIDUAL_REL = 1e-7
 
 
@@ -151,18 +148,22 @@ def build_system(fs, domain: DiskDomain) -> AbcSystem:
 
 def lambda_mu_kappa(w: PolyC, domain: DiskDomain,
                     cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """The three norm quotients of W.  A constant W short-circuits the
-    quadrature: lambda = kappa = 0 and mu = 1 exactly."""
+    """The three norm quotients of W.
+
+    ``sup |W|`` and ``inf |W|`` on the boundary circle come from one sampling
+    pass each with Newton polishing; ``inf_boundary`` raises the
+    ``boundary_vanishing`` hypothesis failure when inf is not above
+    ``1e-12 sup``.  ``||W'||^2_{L^2}`` is the closed-form Dirichlet norm
+    ``sum k |b_k|^2`` of the Taylor coefficients of ``W(c + R w)``, and the
+    L^1 norm of W' on the boundary is a trapezoid sum.  A constant W
+    short-circuits all of this: lambda = kappa = 0 and mu = 1 exactly.
+    """
     if w.is_zero:
         raise LinearDependence()
     if w.degree == 0:
         return 0.0, 1.0, 0.0
     sup = sup_boundary(w, domain, cfg)
     inf = inf_boundary(w, domain, cfg)
-    if inf < WRONSKIAN_VANISHING_REL * sup:
-        raise HypothesisFailure(
-            "wronskian_boundary_vanishing",
-            "the Wronskian effectively vanishes on the boundary")
     wp = w.derivative()
     lam = math.sqrt(dirichlet_norm_area(w, domain, cfg)) / inf
     mu = sup / inf

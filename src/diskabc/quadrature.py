@@ -6,9 +6,20 @@ radius R has mass R) and area integrals are ``(1/pi) \\iint h dA``.
 
 Boundary integrals use the trapezoidal rule, which is spectrally accurate
 for smooth periodic integrands, with sample doubling until two successive
-estimates agree to the configured relative tolerance.  Area integrals use
-Gauss-Legendre (radial) x trapezoid (angular) tensor quadrature with the
-same doubling discipline.  The weighted unit-disk integrals absorb their
+estimates agree to the configured relative tolerance.
+
+The boundary extrema ``sup |p|`` and ``inf |p|`` take polynomials only.
+``|p|`` is sampled once on a uniform grid of at least ``boundary_samples``
+and at least ``16 (deg + 1)`` points; every sampled local extremum is then
+polished by a vectorised Newton iteration with the analytic ``p'`` and
+``p''``, and the best sampled or polished value is returned.
+
+The Dirichlet norm of a polynomial has a closed form in the Taylor
+coefficients about the disk centre, which one FFT of boundary samples
+yields.  Other analytic inputs (Blaschke products and their products with
+polynomials) go through the area rule: Gauss-Legendre (radial) x trapezoid
+(angular) tensor quadrature with the same doubling discipline as the
+boundary integrals.  The weighted unit-disk integrals absorb their
 ``(1-r)^gamma`` boundary weight into Gauss-Jacobi radial nodes, which keeps
 the full convergence rate without any change of variable.
 """
@@ -23,9 +34,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
 from .errors import HypothesisFailure, NumericalFailure
+from .polycore import PolyC
 
-#: Values of |f| below this on the boundary count as a vanishing hypothesis breach.
-BOUNDARY_VANISHING_ABS = 1e-12
+#: A boundary minimum of |f| at or below this multiple of the boundary
+#: maximum counts as a vanishing hypothesis breach.
+BOUNDARY_VANISHING_REL = 1e-12
+
+#: Cap on the Newton polishing steps of the boundary extrema.
+_NEWTON_ITERATIONS = 30
 
 _BLOCK_POINTS = 1 << 19
 
@@ -93,63 +109,87 @@ def boundary_integral(g, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> floa
         {"last_estimates": (prev, est)})
 
 
-def _golden_max(g, a, b, iters=80):
-    """Golden-section maximization of a scalar function on [a, b]."""
-    inv = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(iters):
-        if b - a < 1e-14:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = g(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = g(x1)
-    return max(f1, f2)
-
-
-def _boundary_extremum(f, domain, cfg, want_max: bool) -> float:
+def _modulus_samples(p, domain, cfg):
+    """Angles and ``|p|`` on a uniform boundary grid of at least
+    ``boundary_samples`` and at least ``16 (deg + 1)`` points."""
+    if not isinstance(p, PolyC):
+        raise TypeError(f"expected a PolyC, got {type(p).__name__}")
     n = cfg.boundary_samples
-    prev = None
-    sign = 1.0 if want_max else -1.0
-
-    def g(t):
-        return sign * abs(f(domain.boundary_point(t)))
-
-    for _ in range(cfg.refinement_limit + 1):
-        t = 2.0 * np.pi * np.arange(n) / n
-        vals = sign * np.abs(np.asarray(f(domain.boundary_point(t))))
-        i = int(np.argmax(vals))
-        h = 2.0 * np.pi / n
-        est = float(sign * max(vals[i], _golden_max(g, t[i] - h, t[i] + h)))
-        if prev is not None and abs(est - prev) <= cfg.rel_tol * max(1.0, abs(est)):
-            return est
-        prev = est
+    while n < 16 * len(p.coeffs):
         n *= 2
-    raise NumericalFailure(
-        "boundary extremum search did not converge within the refinement limit",
-        {"last_estimates": (prev, est)})
+    t = 2.0 * np.pi * np.arange(n) / n
+    vals = np.abs(p(domain.boundary_point(t)))
+    if not np.all(np.isfinite(vals)):
+        raise NumericalFailure("non-finite value on the boundary",
+                               {"degree": p.degree})
+    return t, vals
 
 
-def sup_boundary(f, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Maximum of |f| over the boundary (dense sampling + local polish)."""
-    return _boundary_extremum(f, domain, cfg, want_max=True)
+def _polished_extremum(p, domain, t, vals, sign: float) -> float:
+    """Largest ``sign |p|`` over the samples and their Newton-polished
+    local maxima, returned as ``|p|``.
+
+    With ``z = c + R e^{it}`` and ``g(t) = |p(z)|^2``, every sampled local
+    maximum of ``sign g`` seeds a vectorised Newton iteration on ``g'``
+    using the analytic ``p'`` and ``p''``.  Each step is clipped to one grid
+    spacing and the iteration stops once the largest step stops shrinking.
+    """
+    s = sign * vals
+    seeds = t[(s >= np.roll(s, 1)) & (s >= np.roll(s, -1))]
+    best = float(s.max())
+    h = t[1]                                        # grid spacing
+    dp = p.derivative()
+    d2p = dp.derivative()
+    prev = np.inf
+    for _ in range(_NEWTON_ITERATIONS):
+        u = domain.radius * np.exp(1j * seeds)      # z - c; dz/dt = i u
+        z = domain.center + u
+        q, p1 = p(z), dp(z)
+        best = max(best, float((sign * np.abs(q)).max()))
+        q1 = 1j * u * p1                            # d/dt p(z)
+        q2 = -u * (u * d2p(z) + p1)                 # d^2/dt^2 p(z)
+        g1 = sign * np.real(np.conj(q) * q1)        # sign g' / 2
+        g2 = sign * (np.abs(q1) ** 2 + np.real(np.conj(q) * q2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(g2 < 0.0, -g1 / g2, np.sign(g1) * h)
+        step = np.clip(step, -h, h)
+        size = float(np.abs(step).max())
+        if not size < prev:
+            break
+        prev = size
+        seeds = seeds + step
+    return sign * best
 
 
-def inf_boundary(f, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Minimum of |f| over the boundary; a value below 1e-12 is reported as a
-    hypothesis failure (the function effectively vanishes on the boundary)."""
-    v = _boundary_extremum(f, domain, cfg, want_max=False)
-    if v < BOUNDARY_VANISHING_ABS:
+def sup_boundary(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Maximum of ``|p|`` over the boundary circle for a polynomial ``p``.
+
+    ``|p|`` is sampled once; every sampled local maximum is polished by
+    Newton's method, and the largest sampled or polished value is returned,
+    so the result is never below the sampled maximum.  The zero polynomial
+    gives 0.
+    """
+    t, vals = _modulus_samples(p, domain, cfg)
+    return _polished_extremum(p, domain, t, vals, 1.0)
+
+
+def inf_boundary(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Minimum of ``|p|`` over the boundary circle for a polynomial ``p``.
+
+    Sampled and polished as in :func:`sup_boundary`, mirrored, so the result
+    is never above the sampled minimum.  A minimum that is not above
+    ``BOUNDARY_VANISHING_REL`` times the sampled maximum of the same samples
+    (the zero polynomial included) raises ``HypothesisFailure`` with reason
+    ``"boundary_vanishing"``: ``p`` effectively vanishes on the boundary.
+    The test is relative, so it does not depend on the scale of ``p``.
+    """
+    t, vals = _modulus_samples(p, domain, cfg)
+    v = _polished_extremum(p, domain, t, vals, -1.0)
+    if not v > BOUNDARY_VANISHING_REL * float(vals.max()):
         raise HypothesisFailure(
             "boundary_vanishing",
-            f"|f| attains {v:.3e} on the boundary; the nonvanishing "
-            "hypothesis fails")
+            f"|f| attains {v:.3e} on the boundary against a maximum of "
+            f"{float(vals.max()):.3e}; the nonvanishing hypothesis fails")
     return v
 
 
@@ -234,12 +274,20 @@ def unit_disk_weighted_mean(h, gamma: float,
 
 
 def dirichlet_norm_area(f, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Squared Dirichlet norm ``(1/pi) \\iint |f'|^2 dA``.
+    """Squared Dirichlet norm ``(1/pi) \\iint |f'|^2 dA`` over the domain.
 
-    ``f`` may be a polynomial or anything exposing ``derivative_eval``
-    (Blaschke products, analytic products); the derivative is always
-    evaluated analytically, never by finite differences.
+    The Dirichlet integral is conformally invariant, so for a polynomial it
+    equals ``sum_k k |b_k|^2`` with ``b_k`` the Taylor coefficients of
+    ``f(c + R w)``.  These come from one FFT of ``deg + 1`` samples of
+    ``f`` taken directly on the boundary circle, which is unitary up to
+    scale and so keeps them well conditioned.  Anything else exposing
+    ``derivative_eval`` (Blaschke products, analytic products) goes through
+    :func:`disk_area_mean` with the derivative evaluated analytically.
     """
+    if isinstance(f, PolyC):
+        n = max(len(f.coeffs), 1)
+        b = np.fft.fft(f(domain.boundary_points(n))) / n
+        return float(np.sum(np.arange(n) * np.abs(b) ** 2))
     fp = _derivative_fn(f)
     return disk_area_mean(lambda z: np.abs(fp(z)) ** 2, domain, cfg)
 

@@ -134,9 +134,23 @@ class TestVerify:
         rng = np.random.default_rng(33)
         system = random_admissible_system(rng, n=2, max_degree=3)
         base = verify(system)
-        for c in (2.5, 1e3, 0.3 - 0.7j):
+        for c in (2.5, 1e3, 0.3 - 0.7j, 1e-8, 1e-5, 1e8, (1 + 1j) * 1e-6,
+                  1j * 1e7):
             scaled = verify(build_system([c * f for f in system.fs],
                                          system.domain))
+            assert scaled.hypothesis_ok
+            assert scaled.lhs == base.lhs and scaled.N_rad == base.N_rad
+            for field in ("lambda_", "mu", "kappa", "rhs_21", "rhs_22"):
+                a, b = getattr(scaled, field), getattr(base, field)
+                assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+
+    def test_scale_invariance_gapped_family(self):
+        # W = c^3 (0.01/6) z^3 sinks far below any absolute floor at small c
+        fs = gapped_monomial_family(2, 5, 0.1)
+        base = verify(build_system(fs, UNIT_DISK))
+        for c in (1e-8, 1e-5, (1 + 1j) * 1e-6, 1e8, 1j * 1e7):
+            scaled = verify(build_system([c * f for f in fs], UNIT_DISK))
+            assert scaled.hypothesis_ok and scaled.pass_21 and scaled.pass_22
             assert scaled.lhs == base.lhs and scaled.N_rad == base.N_rad
             for field in ("lambda_", "mu", "kappa", "rhs_21", "rhs_22"):
                 a, b = getattr(scaled, field), getattr(base, field)

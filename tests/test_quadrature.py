@@ -15,6 +15,15 @@ from diskabc import (AnalyticProduct, DiskDomain, HypothesisFailure,
 from diskabc.families import random_coeff_polyc, random_smooth_pair
 
 
+def _in_disk_variable(coeffs, domain):
+    """The PolyC in z equal to ``sum coeffs[k] ((z - c)/R)^k``."""
+    w = PolyC((-domain.center / domain.radius, 1.0 / domain.radius))
+    p = PolyC()
+    for c in reversed(coeffs):
+        p = p * w + PolyC((c,))
+    return p
+
+
 class TestBoundaryIntegral:
     def test_unit_mass(self):
         assert boundary_integral(lambda z: np.ones(z.shape), UNIT_DISK) == \
@@ -71,6 +80,64 @@ class TestSupInf:
         assert inf_boundary(p, UNIT_DISK) == pytest.approx(0.1, abs=1e-10)
         assert sup_boundary(p, UNIT_DISK) == pytest.approx(1.9, abs=1e-10)
 
+    def test_polish_beats_grid_off_centre(self):
+        # |w^10 - 0.9 e^{i 10 t0}| with w = (z - c)/R: ten minima 0.1 and ten
+        # maxima 1.9, every one a tenth of a spacing or more off the grid
+        dom = DiskDomain(1 + 0.5j, 2.0)
+        t0 = 2.0 * np.pi * (10.1 / 1024)
+        p = _in_disk_variable((-0.9 * np.exp(10j * t0),) + (0,) * 9 + (1,), dom)
+        grid = np.abs(p(dom.boundary_points(1024)))
+        assert grid.min() > 0.1 + 1e-6 and grid.max() < 1.9 - 1e-6
+        assert inf_boundary(p, dom) == pytest.approx(0.1, abs=1e-10)
+        assert sup_boundary(p, dom) == pytest.approx(1.9, abs=1e-10)
+
+    @pytest.mark.parametrize("dom", [DiskDomain(1 + 0.5j, 2.0),
+                                     DiskDomain(-0.3j, 0.7)])
+    def test_dense_sample_bracket(self, dom):
+        # oracle: a 2^18-point sample of |p| with the Bernstein bound
+        # |d/dt p(c + R e^{it})| <= deg * sup, so the true extrema lie within
+        # deg * sup * h / 2 of the sampled ones (h the dense grid spacing).
+        # Normal coefficients in (z - c)/R rather than in z keep inf |p| on
+        # the off-centre circle well above the vanishing floor.
+        rng = np.random.default_rng(25)
+        dense = dom.boundary_points(1 << 18)
+        h = 2.0 * np.pi / (1 << 18)
+        for _ in range(12):
+            p = _in_disk_variable(random_coeff_polyc(rng, 30).coeffs, dom)
+            vals = np.abs(p(dense))
+            smax, smin = vals.max(), vals.min()
+            sup = sup_boundary(p, dom)
+            slack = p.degree * sup * h / 2
+            assert smax * (1 - 1e-14) <= sup <= smax + slack
+            inf = inf_boundary(p, dom)
+            assert smin - slack <= inf <= smin * (1 + 1e-12)
+
+    def test_constant_off_centre(self):
+        p = PolyC((2 - 1j,))
+        dom = DiskDomain(3j, 0.5)
+        assert sup_boundary(p, dom) == abs(2 - 1j)
+        assert inf_boundary(p, dom) == abs(2 - 1j)
+
+    def test_zero_polynomial(self):
+        assert sup_boundary(PolyC(), UNIT_DISK) == 0.0
+        with pytest.raises(HypothesisFailure) as err:
+            inf_boundary(PolyC(), UNIT_DISK)
+        assert err.value.reason == "boundary_vanishing"
+
+    def test_vanishing_floor_is_relative(self):
+        # |z - 2| on the unit circle: 1 <= |p| <= 3 at every scale; |z - 1|
+        # vanishes at 1 at every scale
+        for c in (1e-30, 1e-8, 1.0, 1e8, 1e30j):
+            assert inf_boundary(c * PolyC((-2, 1)), UNIT_DISK) == \
+                pytest.approx(abs(c), rel=1e-12)
+            with pytest.raises(HypothesisFailure) as err:
+                inf_boundary(c * PolyC((-1, 1)), UNIT_DISK)
+            assert err.value.reason == "boundary_vanishing"
+
+    def test_polynomials_only(self):
+        with pytest.raises(TypeError):
+            sup_boundary(lambda z: z, UNIT_DISK)
+
 
 class TestDirichlet:
     def test_monomials(self):
@@ -88,6 +155,19 @@ class TestDirichlet:
             want = sum(k * abs(c) ** 2 for k, c in enumerate(f.coeffs))
             assert dirichlet_norm_area(f, UNIT_DISK) == \
                 pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("dom", [DiskDomain(1 + 0.5j, 2.0),
+                                     DiskDomain(-0.3j, 0.7)])
+    def test_closed_form_matches_area_rule(self, dom):
+        # the FFT closed form against Gauss-Legendre x trapezoid of |p'|^2
+        rng = np.random.default_rng(26)
+        cfg = QuadratureConfig()
+        for _ in range(6):
+            p = random_coeff_polyc(rng, 30)
+            dp = p.derivative()
+            want = disk_area_mean(lambda z: np.abs(dp(z)) ** 2, dom, cfg)
+            assert dirichlet_norm_area(p, dom, cfg) == \
+                pytest.approx(want, rel=cfg.rel_tol)
 
     def test_area_mean_constant(self):
         dom = DiskDomain(2 - 1j, 3.0)
