@@ -9,9 +9,8 @@ from .abc_verifier import (AbcCertificate, AbcSystem, build_system,
                            check_divisibility, gapped_monomial_family,
                            lambda_mu_kappa, monomial_family, verify)
 from .blaschke import (AnalyticProduct, BlaschkeProduct, DiskDomain,
-                       UNIT_DISK, constant_one, count_distinct, count_zeros,
-                       count_zeros_argument_principle, from_zeros, lcm,
-                       product, radical)
+                       UNIT_DISK, count_zeros_argument_principle,
+                       from_zeros, lcm, product, radical)
 from .dalpha import (DalphaReport, TruncationSchedule, blaschke_norm_sq,
                      division_monotonicity_check, product_norm_sq, r_alpha,
                      r_alpha_area, truncation_study, verify_theorem_41)
@@ -23,10 +22,10 @@ from .mason_stothers import (LimitStudy, MasonReport, kappa_mu_at_radius,
 from .polycore import (CLUSTER_TOL, GaussianRational, PolyC, PolyQ, ZeroList,
                        aberth_roots, gcd_exact, roots_with_multiplicity,
                        squarefree_part, wronskian, wronskian_derivative)
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, boundary_integral,
-                         dalpha_norm_area, dalpha_norm_coeff, dirichlet_norm_area,
-                         disk_area_mean, inf_boundary, sup_boundary,
-                         unit_disk_weighted_mean)
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, boundary_extrema,
+                         boundary_integral, dalpha_norm_area, dalpha_norm_coeff,
+                         dirichlet_norm_area, disk_area_mean, inf_boundary,
+                         sup_boundary, unit_disk_weighted_mean)
 
 __version__ = "0.1.0"
 
@@ -37,10 +36,10 @@ __all__ = [
     "InputError", "LimitStudy", "LinearDependence", "MasonReport",
     "NumericalFailure", "PolyC", "PolyQ", "QuadratureConfig",
     "TruncationSchedule", "UNIT_DISK", "ZeroList", "aberth_roots",
-    "blaschke_norm_sq", "boundary_integral", "build_system",
-    "check_divisibility", "constant_one", "count_distinct", "count_zeros",
-    "count_zeros_argument_principle", "dalpha_norm_area", "dalpha_norm_coeff",
-    "dirichlet_norm_area", "disk_area_mean", "division_monotonicity_check",
+    "blaschke_norm_sq", "boundary_extrema", "boundary_integral",
+    "build_system", "check_divisibility", "count_zeros_argument_principle",
+    "dalpha_norm_area", "dalpha_norm_coeff", "dirichlet_norm_area",
+    "disk_area_mean", "division_monotonicity_check",
     "from_zeros", "gapped_monomial_family", "gcd_exact", "inf_boundary",
     "kappa_mu_at_radius", "lambda_mu_kappa", "lcm", "limit_R_study",
     "monomial_family", "product", "product_norm_sq", "r_alpha",

@@ -26,8 +26,8 @@ from . import blaschke as bl
 from .blaschke import BlaschkeProduct, DiskDomain
 from .errors import HypothesisFailure, LinearDependence
 from .polycore import CLUSTER_TOL, PolyC, ZeroList, roots_with_multiplicity, wronskian
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, boundary_integral,
-                         dirichlet_norm_area, inf_boundary, sup_boundary)
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, boundary_extrema,
+                         boundary_integral, dirichlet_norm_area)
 
 #: A zero this close to the boundary circle invalidates the hypotheses.
 BOUNDARY_ZERO_TOL = 1e-6
@@ -150,20 +150,17 @@ def lambda_mu_kappa(w: PolyC, domain: DiskDomain,
                     cfg: QuadratureConfig = DEFAULT_CONFIG):
     """The three norm quotients of W.
 
-    ``sup |W|`` and ``inf |W|`` on the boundary circle come from one sampling
-    pass each with Newton polishing; ``inf_boundary`` raises the
-    ``boundary_vanishing`` hypothesis failure when inf is not above
-    ``1e-12 sup``.  ``||W'||^2_{L^2}`` is the closed-form Dirichlet norm
+    ``sup |W|`` and ``inf |W|`` on the boundary circle come from one shared
+    sampling pass with Newton polishing (:func:`boundary_extrema`), which
+    raises the ``boundary_vanishing`` hypothesis failure when inf is not
+    above ``1e-12 sup``.  ``||W'||^2_{L^2}`` is the closed-form Dirichlet norm
     ``sum k |b_k|^2`` of the Taylor coefficients of ``W(c + R w)``, and the
-    L^1 norm of W' on the boundary is a trapezoid sum.  A constant W
-    short-circuits all of this: lambda = kappa = 0 and mu = 1 exactly.
+    L^1 norm of W' on the boundary is a trapezoid sum.  A constant W gives
+    lambda = kappa = 0 and mu = 1 exactly.
     """
     if w.is_zero:
         raise LinearDependence()
-    if w.degree == 0:
-        return 0.0, 1.0, 0.0
-    sup = sup_boundary(w, domain, cfg)
-    inf = inf_boundary(w, domain, cfg)
+    sup, inf = boundary_extrema(w, domain, cfg)
     wp = w.derivative()
     lam = math.sqrt(dirichlet_norm_area(w, domain, cfg)) / inf
     mu = sup / inf

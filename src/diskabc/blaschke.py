@@ -184,18 +184,6 @@ def from_zeros(domain: DiskDomain, zeros) -> BlaschkeProduct:
     return BlaschkeProduct(domain, zeros)
 
 
-def constant_one(domain: DiskDomain) -> BlaschkeProduct:
-    return BlaschkeProduct(domain, ZeroList())
-
-
-def count_zeros(b: BlaschkeProduct) -> int:
-    return b.n_zeros
-
-
-def count_distinct(b: BlaschkeProduct) -> int:
-    return b.n_distinct
-
-
 def _check_same_domain(bs):
     if not bs:
         raise ValueError("need at least one Blaschke product")
@@ -217,7 +205,7 @@ def lcm(bs) -> BlaschkeProduct:
     dom = _check_same_domain(bs)
     tagged = [(a, m, i) for i, b in enumerate(bs) for a, m in b.zeros]
     if not tagged:
-        return constant_one(dom)
+        return BlaschkeProduct(dom)
     groups = _cluster_indices([a for a, _, _ in tagged], CLUSTER_TOL)
     entries = []
     for idxs in groups:

@@ -29,8 +29,8 @@ from .abc_verifier import build_system
 from .blaschke import UNIT_DISK, BlaschkeProduct
 from .errors import NumericalFailure
 from .polycore import PolyC, ZeroList
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, boundary_integral,
-                         dalpha_norm_coeff, inf_boundary, sup_boundary,
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, boundary_extrema,
+                         boundary_integral, dalpha_norm_coeff,
                          unit_disk_weighted_mean)
 
 #: Adaptive cutoff targets this relative tail bound ...
@@ -236,13 +236,9 @@ def verify_theorem_41(fs, alpha: float,
     norm_lcm = blaschke_norm_sq(system.B_lcm, alpha)
     norm_rad = blaschke_norm_sq(system.B_rad, alpha)
     w = system.W
-    if w.degree == 0:
-        lambda_alpha, mu = 0.0, 1.0
-    else:
-        sup = sup_boundary(w, UNIT_DISK, cfg)
-        inf = inf_boundary(w, UNIT_DISK, cfg)
-        lambda_alpha = math.sqrt(dalpha_norm_coeff(w, alpha)) / inf
-        mu = sup / inf
+    sup, inf = boundary_extrema(w, UNIT_DISK, cfg)
+    lambda_alpha = math.sqrt(dalpha_norm_coeff(w, alpha)) / inf
+    mu = sup / inf
     denom = lambda_alpha ** 2 + n * mu ** 2 * norm_rad
     ratio = norm_lcm / denom if denom > 0 else math.inf
     return DalphaReport(alpha=alpha, n=n, norm_B_lcm_sq=norm_lcm,

@@ -22,8 +22,8 @@ from .blaschke import DiskDomain
 from .errors import HypothesisFailure, LinearDependence
 from .polycore import (PolyQ, gcd_exact, roots_with_multiplicity,
                        squarefree_part, wronskian)
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, boundary_integral,
-                         inf_boundary, sup_boundary)
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, boundary_extrema,
+                         boundary_integral)
 
 _RADIUS_SKIP_REL = 1e-6
 
@@ -194,11 +194,8 @@ def kappa_mu_at_radius(w, radius: float,
     wc = w.to_polyc() if isinstance(w, PolyQ) else w
     if wc.is_zero:
         raise LinearDependence()
-    if wc.degree == 0:
-        return 0.0, 1.0
     domain = DiskDomain(0j, radius)
-    sup = sup_boundary(wc, domain, cfg)
-    inf = inf_boundary(wc, domain, cfg)
+    sup, inf = boundary_extrema(wc, domain, cfg)
     wp = wc.derivative()
     kappa = boundary_integral(lambda z: np.abs(wp(z)), domain, cfg) / inf
     return kappa, sup / inf

@@ -9,19 +9,23 @@ for smooth periodic integrands, with sample doubling until two successive
 estimates agree to the configured relative tolerance.
 
 The boundary extrema ``sup |p|`` and ``inf |p|`` take polynomials only.
-``|p|`` is sampled once on a uniform grid of at least ``boundary_samples``
-and at least ``16 (deg + 1)`` points; every sampled local extremum is then
-polished by a vectorised Newton iteration with the analytic ``p'`` and
-``p''``, and the best sampled or polished value is returned.
+:func:`boundary_extrema` samples ``|p|`` once on a uniform grid of at least
+``boundary_samples`` and at least ``16 (deg + 1)`` points; every sampled
+local maximum and minimum is then polished by a vectorised Newton iteration
+with the analytic ``p'`` and ``p''``, and the best sampled or polished
+values are returned.  It also holds the relative boundary-vanishing test.
 
 The Dirichlet norm of a polynomial has a closed form in the Taylor
 coefficients about the disk centre, which one FFT of boundary samples
-yields.  Other analytic inputs (Blaschke products and their products with
-polynomials) go through the area rule: Gauss-Legendre (radial) x trapezoid
-(angular) tensor quadrature with the same doubling discipline as the
-boundary integrals.  The weighted unit-disk integrals absorb their
-``(1-r)^gamma`` boundary weight into Gauss-Jacobi radial nodes, which keeps
-the full convergence rate without any change of variable.
+yields.  All area integrals go through one engine,
+:func:`unit_disk_weighted_mean`: Gauss-Jacobi radial nodes for the weight
+``(1-r)^gamma`` (Gauss-Legendre at gamma = 0) times a trapezoid in angle,
+both doubled until convergence.  The weight is absorbed into the nodes, so
+the full convergence rate holds without any change of variable.
+:func:`disk_area_mean` maps a disk onto the unit disk and calls it with
+gamma = 0; Blaschke products and their products with polynomials reach it
+through the Dirichlet norm.  The Gauss-Jacobi rule comes from the
+Golub-Welsch eigenvalue method, so numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .errors import HypothesisFailure, NumericalFailure
 from .polycore import PolyC
@@ -71,13 +73,22 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 @lru_cache(maxsize=64)
-def _leggauss_cached(n: int):
-    return leggauss(n)
-
-
-@lru_cache(maxsize=64)
-def _jacobi_cached(n: int, gamma: float):
-    x, w = roots_jacobi(n, gamma, 0.0)
+def _gauss_jacobi(n: int, gamma: float):
+    """Nodes and weights of the n-point Gauss rule for the weight
+    ``(1-x)^gamma`` on [-1, 1] (gamma = 0 is Gauss-Legendre), by
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    three-term recurrence, and each weight is the total mass times the
+    squared first component of its eigenvector."""
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + gamma
+    diag = np.empty(n)
+    diag[0] = -gamma / (gamma + 2.0)
+    diag[1:] = -gamma ** 2 / (s * (s + 2.0))
+    off = 2.0 * k * (k + gamma) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (gamma + 1.0) / (gamma + 1.0) * v[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 
@@ -100,7 +111,7 @@ def boundary_integral(g, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> floa
         t = 2.0 * np.pi * np.arange(n) / n
         vals = np.asarray(g(domain.boundary_point(t)), dtype=float)
         est = float(domain.radius * vals.mean())
-        if prev is not None and abs(est - prev) <= cfg.rel_tol * max(1.0, abs(est)):
+        if prev is not None and abs(est - prev) <= cfg.rel_tol * abs(est):
             return est
         prev = est
         n *= 2
@@ -173,103 +184,88 @@ def sup_boundary(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     return _polished_extremum(p, domain, t, vals, 1.0)
 
 
-def inf_boundary(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Minimum of ``|p|`` over the boundary circle for a polynomial ``p``.
+def boundary_extrema(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """``(sup |p|, inf |p|)`` over the boundary circle for a polynomial ``p``.
 
-    Sampled and polished as in :func:`sup_boundary`, mirrored, so the result
-    is never above the sampled minimum.  A minimum that is not above
-    ``BOUNDARY_VANISHING_REL`` times the sampled maximum of the same samples
-    (the zero polynomial included) raises ``HypothesisFailure`` with reason
-    ``"boundary_vanishing"``: ``p`` effectively vanishes on the boundary.
-    The test is relative, so it does not depend on the scale of ``p``.
+    One sampling pass feeds both Newton polishes, so sup equals
+    :func:`sup_boundary` and inf is never above the sampled minimum.  A
+    constant ``c`` gives ``(|c|, |c|)`` exactly.  An inf that is not above
+    ``BOUNDARY_VANISHING_REL`` times sup (the zero polynomial included)
+    raises ``HypothesisFailure`` with reason ``"boundary_vanishing"``: ``p``
+    effectively vanishes on the boundary.  The test is relative, so it does
+    not depend on the scale of ``p``.
     """
     t, vals = _modulus_samples(p, domain, cfg)
-    v = _polished_extremum(p, domain, t, vals, -1.0)
-    if not v > BOUNDARY_VANISHING_REL * float(vals.max()):
+    if p.degree == 0:
+        v = abs(p.coeffs[0])
+        return v, v
+    sup = _polished_extremum(p, domain, t, vals, 1.0)
+    inf = _polished_extremum(p, domain, t, vals, -1.0)
+    if not inf > BOUNDARY_VANISHING_REL * sup:
         raise HypothesisFailure(
             "boundary_vanishing",
-            f"|f| attains {v:.3e} on the boundary against a maximum of "
-            f"{float(vals.max()):.3e}; the nonvanishing hypothesis fails")
-    return v
+            f"|f| attains {inf:.3e} on the boundary against a maximum of "
+            f"{sup:.3e}; the nonvanishing hypothesis fails")
+    return sup, inf
 
 
-def _angular_means(h, make_points, n_radial, n_angular):
-    """Mean over the angular grid of ``h`` at each radial node, chunked so the
-    (radial x angular) evaluation grid never exceeds a fixed memory budget."""
+def inf_boundary(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Minimum of ``|p|`` over the boundary circle for a polynomial ``p``;
+    the second value of :func:`boundary_extrema`, whose vanishing test it
+    shares."""
+    return boundary_extrema(p, domain, cfg)[1]
+
+
+def _angular_means(h, r, n_angular):
+    """Mean of ``h`` over the ``n_angular`` trapezoid points of the circle of
+    each radius in ``r``, chunked so the (radial x angular) evaluation grid
+    never exceeds a fixed memory budget."""
     phase = np.exp(2j * np.pi * np.arange(n_angular) / n_angular)
-    out = np.empty(n_radial, dtype=float)
+    out = np.empty(len(r), dtype=float)
     block = max(1, _BLOCK_POINTS // n_angular)
-    for i0 in range(0, n_radial, block):
-        i1 = min(i0 + block, n_radial)
-        z = make_points(i0, i1, phase)
-        out[i0:i1] = np.asarray(h(z), dtype=float).mean(axis=1)
+    for i0 in range(0, len(r), block):
+        z = r[i0:i0 + block, None] * phase[None, :]
+        out[i0:i0 + block] = np.asarray(h(z), dtype=float).mean(axis=1)
     return out
 
 
-def _tensor_levels(cfg):
-    """Resolutions for the area engines: a half-size probe first, then the
-    configured resolution, then ``refinement_limit`` doublings; the accepted
-    estimate is therefore at least config-resolution in the common case."""
-    m, k = max(32, cfg.boundary_samples // 2), max(8, cfg.radial_nodes // 2)
-    for _ in range(cfg.refinement_limit + 2):
-        yield m, k
-        m *= 2
-        k *= 2
-
-
 def disk_area_mean(h, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """``(1/pi) \\iint_domain h dA`` by Gauss-Legendre x trapezoid tensor
-    quadrature, doubling both directions until convergence."""
-    prev = est = None
-    for m, k in _tensor_levels(cfg):
-        x, w = _leggauss_cached(k)
-        r = domain.radius * (x + 1.0) / 2.0
-        wr = domain.radius * w / 2.0
-
-        def pts(i0, i1, phase):
-            return domain.center + r[i0:i1, None] * phase[None, :]
-
-        means = _angular_means(h, pts, k, m)
-        est = float(2.0 * np.sum(wr * r * means))
-        if prev is not None and abs(est - prev) <= cfg.rel_tol * max(1.0, abs(est)):
-            return est
-        if not np.isfinite(est):
-            raise NumericalFailure("non-finite value in area quadrature",
-                                   {"estimate": est})
-        prev = est
-    raise NumericalFailure(
-        "area integral did not converge within the refinement limit",
-        {"last_estimates": (prev, est)})
+    """``(1/pi) \\iint_domain h dA``: the unweighted unit-disk rule applied
+    to ``h(c + R w)``, scaled by the area factor ``R^2``."""
+    c, radius = domain.center, domain.radius
+    return radius ** 2 * unit_disk_weighted_mean(
+        lambda w: h(c + radius * w), 0.0, cfg)
 
 
 def unit_disk_weighted_mean(h, gamma: float,
                             cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """``(1/pi) \\iint_D h(z) (1-|z|)^gamma dA`` on the unit disk, gamma > -1.
 
-    The radial weight is handled exactly by Gauss-Jacobi nodes, so ``h`` only
-    needs to be smooth for full-rate convergence.
+    Gauss-Jacobi radial nodes (Gauss-Legendre at gamma = 0) absorb the
+    radial weight exactly, so ``h`` only needs to be smooth for full-rate
+    convergence; the angular direction is a trapezoid sum.  A half-size
+    probe (``boundary_samples / 2`` angles, ``radial_nodes / 2`` radii) runs
+    first, then both directions double until two successive estimates agree
+    to ``rel_tol``, at most ``refinement_limit + 1`` times.
     """
     if not gamma > -1.0:
         raise ValueError("weight exponent must exceed -1 for integrability")
-    prev = est = None
-    for m, k in _tensor_levels(cfg):
-        x, w = _jacobi_cached(k, float(gamma))
+    m, k = max(32, cfg.boundary_samples // 2), max(8, cfg.radial_nodes // 2)
+    prev = None
+    for _ in range(cfg.refinement_limit + 2):
+        x, w = _gauss_jacobi(k, float(gamma))
         r = (x + 1.0) / 2.0
-        scale = 2.0 ** (-(gamma + 1.0))
-
-        def pts(i0, i1, phase):
-            return r[i0:i1, None] * phase[None, :]
-
-        means = _angular_means(h, pts, k, m)
-        est = float(2.0 * scale * np.sum(w * r * means))
-        if prev is not None and abs(est - prev) <= cfg.rel_tol * max(1.0, abs(est)):
-            return est
+        est = float(2.0 ** -gamma * np.sum(w * r * _angular_means(h, r, m)))
         if not np.isfinite(est):
-            raise NumericalFailure("non-finite value in weighted quadrature",
+            raise NumericalFailure("non-finite value in area quadrature",
                                    {"estimate": est})
+        if prev is not None and abs(est - prev) <= cfg.rel_tol * abs(est):
+            return est
         prev = est
+        m *= 2
+        k *= 2
     raise NumericalFailure(
-        "weighted area integral did not converge within the refinement limit",
+        "area integral did not converge within the refinement limit",
         {"last_estimates": (prev, est)})
 
 

@@ -1,18 +1,22 @@
 """Quadrature engines and norm computations against independent oracles."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import beta as beta_fn
 from scipy.special import ellipe
 
 from diskabc import (AnalyticProduct, DiskDomain, HypothesisFailure,
                      NumericalFailure, PolyC, QuadratureConfig, UNIT_DISK,
-                     boundary_integral, dalpha_norm_area, dalpha_norm_coeff,
-                     dirichlet_norm_area, disk_area_mean, from_zeros,
-                     inf_boundary, sup_boundary)
+                     boundary_extrema, boundary_integral, dalpha_norm_area,
+                     dalpha_norm_coeff, dirichlet_norm_area, disk_area_mean,
+                     from_zeros, inf_boundary, sup_boundary)
 from diskabc.families import random_coeff_polyc, random_smooth_pair
+from diskabc.quadrature import _gauss_jacobi
 
 
 def _in_disk_variable(coeffs, domain):
@@ -54,6 +58,17 @@ class TestBoundaryIntegral:
         cfg = QuadratureConfig(refinement_limit=0)
         with pytest.raises(NumericalFailure):
             boundary_integral(lambda z: np.abs(z + 3.0), UNIT_DISK, cfg)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-6])
+    def test_convergence_test_is_relative(self, s):
+        # the stopping test scales with the estimate: a scaled integrand gives
+        # the scaled value, and a kink too sharp for the refinement limit
+        # raises at every scale rather than passing once the integral is small
+        ref = boundary_integral(lambda z: np.abs(z - 1.001), UNIT_DISK)
+        val = boundary_integral(lambda z: s * np.abs(z - 1.001), UNIT_DISK)
+        assert val / s == pytest.approx(ref, rel=1e-14)
+        with pytest.raises(NumericalFailure):
+            boundary_integral(lambda z: s * np.abs(z - 1.0001), UNIT_DISK)
 
 
 class TestSupInf:
@@ -111,17 +126,25 @@ class TestSupInf:
             assert smax * (1 - 1e-14) <= sup <= smax + slack
             inf = inf_boundary(p, dom)
             assert smin - slack <= inf <= smin * (1 + 1e-12)
+            assert boundary_extrema(p, dom) == (sup, inf)
 
     def test_constant_off_centre(self):
         p = PolyC((2 - 1j,))
         dom = DiskDomain(3j, 0.5)
         assert sup_boundary(p, dom) == abs(2 - 1j)
         assert inf_boundary(p, dom) == abs(2 - 1j)
+        assert boundary_extrema(p, dom) == (abs(2 - 1j), abs(2 - 1j))
 
     def test_zero_polynomial(self):
         assert sup_boundary(PolyC(), UNIT_DISK) == 0.0
         with pytest.raises(HypothesisFailure) as err:
             inf_boundary(PolyC(), UNIT_DISK)
+        assert err.value.reason == "boundary_vanishing"
+
+    @pytest.mark.parametrize("p", [PolyC(), PolyC((-1, 1))])
+    def test_extrema_vanishing(self, p):
+        with pytest.raises(HypothesisFailure) as err:
+            boundary_extrema(p, UNIT_DISK)
         assert err.value.reason == "boundary_vanishing"
 
     def test_vanishing_floor_is_relative(self):
@@ -137,6 +160,35 @@ class TestSupInf:
     def test_polynomials_only(self):
         with pytest.raises(TypeError):
             sup_boundary(lambda z: z, UNIT_DISK)
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    @pytest.mark.parametrize("gamma", [-0.9, -0.5, 0.0, 0.5, 0.9])
+    def test_exact_moments(self, n, gamma):
+        # oracle: int (1-x)^gamma (1+x)^j dx = 2^(gamma+j+1) B(gamma+1, j+1),
+        # which the n-point rule integrates exactly for every j <= 2n - 1
+        x, w = _gauss_jacobi(n, gamma)
+        for j in range(2 * n):
+            exact = math.exp((gamma + j + 1) * math.log(2.0)
+                             + math.lgamma(gamma + 1) + math.lgamma(j + 1)
+                             - math.lgamma(gamma + j + 2))
+            assert np.sum(w * (1 + x) ** j) == pytest.approx(exact, rel=2e-12)
+
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    def test_legendre(self, n):
+        x, w = _gauss_jacobi(n, 0.0)
+        xl, wl = leggauss(n)
+        assert np.max(np.abs(x - xl)) <= 1e-14
+        assert np.max(np.abs(w - wl)) <= 1e-14
+
+
+def test_import_leaves_scipy_out():
+    code = ("import sys, diskabc; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestDirichlet:
