@@ -109,7 +109,8 @@ def verify_theorem_A(a: PolyQ, b: PolyQ, c: PolyQ) -> MasonReport:
             raise HypothesisFailure("not_coprime", f"{names} are not relatively prime")
     degs = (a.degree, b.degree, c.degree)
     max_deg = max(degs)
-    n_distinct = squarefree_part(a * b * c).degree
+    # pairwise coprime (checked above): rad(abc) = rad(a) rad(b) rad(c)
+    n_distinct = sum(squarefree_part(p).degree for p in (a, b, c))
     return MasonReport(
         theorem="A", n=1, degrees=degs, max_degree=max_deg,
         n_distinct=n_distinct, bound=n_distinct,
@@ -148,7 +149,6 @@ def verify_theorem_B(ps, relaxed: bool = False) -> MasonReport:
         if g.degree != 0:
             raise HypothesisFailure(
                 "common_zero", "all polynomials share a zero")
-        n_distinct = sum(squarefree_part(p).degree for p in everything)
     else:
         for i in range(len(everything)):
             for j in range(i + 1, len(everything)):
@@ -156,10 +156,9 @@ def verify_theorem_B(ps, relaxed: bool = False) -> MasonReport:
                     raise HypothesisFailure(
                         "zero_sets_not_disjoint",
                         f"polynomials {i} and {j} share a zero")
-        prod = everything[0]
-        for p in everything[1:]:
-            prod = prod * p
-        n_distinct = squarefree_part(prod).degree
+    # relaxed: counted per polynomial by definition; strong: pairwise coprime
+    # (checked above), so the radical of the product is the product of radicals
+    n_distinct = sum(squarefree_part(p).degree for p in everything)
 
     degs = tuple(p.degree for p in everything)
     max_deg = max(degs)
@@ -217,16 +216,16 @@ def limit_R_study(ps, radii, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LimitStu
     wc = wq.to_polyc() if isinstance(wq, PolyQ) else wq
 
     moduli = []
-    for p in list(ps) + [wc]:
+    for p in ps:
         pc = p.to_polyc() if isinstance(p, PolyQ) else p
         if pc.degree >= 1:
             moduli.extend(abs(a) for a, _ in roots_with_multiplicity(pc))
-    rho = max(moduli, default=0.0)
+    w_moduli = [abs(a) for a, _ in roots_with_multiplicity(wc)] if wc.degree >= 1 else []
+    rho = max(moduli + w_moduli, default=0.0)
     if radii and radii[0] <= rho:
         raise ValueError(
             f"smallest radius {radii[0]} does not exceed the largest zero modulus {rho}")
 
-    w_moduli = [abs(a) for a, _ in roots_with_multiplicity(wc)] if wc.degree >= 1 else []
     kept, kappas, mus, skipped = [], [], [], []
     for r in radii:
         if any(abs(m - r) < _RADIUS_SKIP_REL * r for m in w_moduli):

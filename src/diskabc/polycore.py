@@ -9,9 +9,16 @@ stripped.  Two coefficient domains cover the package's needs:
   :class:`fractions.Fraction`), for the statements that must be checked
   in exact arithmetic.
 
-Wronskians are computed by cofactor expansion in the polynomial ring,
-never as numeric determinants at sample points, so the exact domain
-stays exact and the floating domain yields coefficientwise results.
+Wronskians are computed by Laplace expansion along the first row in the
+polynomial ring, never as numeric determinants at sample points, so the
+exact domain stays exact and the floating domain yields coefficientwise
+results.  Each minor is computed once: ``(n+1)(2^n - 1)`` polynomial
+products for ``n+1`` functions instead of about ``e (n+1)!`` for plain
+cofactor recursion (186 instead of 1236 for six functions).
+
+``PolyQ`` products and divisions run on Python integers: each operand is
+brought to one common denominator as Gaussian-integer numerators, and
+each output coefficient is built once.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -271,17 +279,31 @@ class PolyQ:
     def __sub__(self, o):
         return self + (-o)
 
+    @cached_property
+    def _gaussint(self):
+        """``(re, im, d)``: integer tuples and a positive common denominator
+        with ``coeffs[k] == (re[k] + i im[k]) / d``."""
+        c = self.coeffs
+        d = lcm(*(x.re.denominator for x in c), *(x.im.denominator for x in c))
+        return (tuple(x.re.numerator * (d // x.re.denominator) for x in c),
+                tuple(x.im.numerator * (d // x.im.denominator) for x in c), d)
+
     def __mul__(self, o):
         if isinstance(o, PolyQ):
             if self.is_zero or o.is_zero:
                 return PolyQ()
-            out = [_QZERO] * (len(self.coeffs) + len(o.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero:
+            ar, ai, da = self._gaussint
+            br, bi, db = o._gaussint
+            b = list(zip(br, bi))
+            cr = [0] * (len(ar) + len(br) - 1)
+            ci = list(cr)
+            for i, (xr, xi) in enumerate(zip(ar, ai)):
+                if not (xr or xi):
                     continue
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return PolyQ(out)
+                for j, (yr, yi) in enumerate(b, i):
+                    cr[j] += xr * yr - xi * yi
+                    ci[j] += xr * yi + xi * yr
+            return _poly_over(cr, ci, da * db)
         return PolyQ(tuple(c * GaussianRational.of(o) for c in self.coeffs))
 
     def __rmul__(self, o):
@@ -294,28 +316,47 @@ class PolyQ:
     def monic(self) -> "PolyQ":
         if self.is_zero:
             return self
-        lead = self.coeffs[-1]
-        return PolyQ(tuple(c / lead for c in self.coeffs))
+        re, im, _ = self._gaussint
+        return _poly_over(re, im, re[-1], im[-1])
 
     def divmod(self, other: "PolyQ"):
-        """Exact euclidean division: returns (quotient, remainder)."""
+        """Exact euclidean division: returns (quotient, remainder).
+
+        Pseudo-division over the Gaussian integers: with ``A = a / da`` and
+        ``B = b / db`` on integer numerators and ``l`` the lead of ``b``,
+        the loop keeps ``l^e a == q b + r``, multiplying ``q`` and ``r`` by
+        ``l`` at each step that cancels a nonzero top coefficient.  Then
+        ``A == (db q / (da l^e)) B + r / (da l^e)``.
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        dq = len(r) - len(other.coeffs)
+        m = len(other.coeffs) - 1
+        dq = len(self.coeffs) - 1 - m
         if dq < 0:
             return PolyQ(), self
-        q = [_QZERO] * (dq + 1)
-        lead = other.coeffs[-1]
+        ar, ai, da = self._gaussint
+        rr, ri = list(ar), list(ai)
+        br, bi, db = other._gaussint
+        b = list(zip(br, bi))
+        lr, li = b[m]
+        qr, qi = [0] * (dq + 1), [0] * (dq + 1)
+        er, ei = 1, 0
         for k in range(dq, -1, -1):
-            top = r[k + len(other.coeffs) - 1]
-            if top.is_zero:
+            tr, ti = rr[k + m], ri[k + m]
+            if not (tr or ti):
                 continue
-            f = top / lead
-            q[k] = f
-            for j, c in enumerate(other.coeffs):
-                r[k + j] = r[k + j] - f * c
-        return PolyQ(q), PolyQ(r)
+            for t in range(k + m):
+                rr[t], ri[t] = rr[t] * lr - ri[t] * li, rr[t] * li + ri[t] * lr
+            for t in range(k + 1, dq + 1):
+                qr[t], qi[t] = qr[t] * lr - qi[t] * li, qr[t] * li + qi[t] * lr
+            er, ei = er * lr - ei * li, er * li + ei * lr
+            qr[k], qi[k] = tr, ti
+            rr[k + m] = ri[k + m] = 0
+            for j, (yr, yi) in enumerate(b[:m], k):
+                rr[j] -= tr * yr - ti * yi
+                ri[j] -= tr * yi + ti * yr
+        return (_poly_over([x * db for x in qr], [x * db for x in qi], da * er, da * ei),
+                _poly_over(rr[:m], ri[:m], da * er, da * ei))
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -335,6 +376,18 @@ class PolyQ:
         return cls(tuple(GaussianRational(Fraction(int(re[0]), int(re[1])),
                                           Fraction(int(im[0]), int(im[1])))
                          for re, im in data))
+
+
+def _poly_over(re, im, dr, di=0) -> PolyQ:
+    """PolyQ with coefficients ``(re[k] + i im[k]) / (dr + i di)``, each
+    output coefficient built once; a non-real divisor is cleared through
+    its conjugate and norm."""
+    if di:
+        re, im = ([x * dr + y * di for x, y in zip(re, im)],
+                  [y * dr - x * di for x, y in zip(re, im)])
+        dr = dr * dr + di * di
+    return PolyQ(tuple(GaussianRational(Fraction(x, dr), Fraction(y, dr))
+                       for x, y in zip(re, im)))
 
 
 @dataclass(frozen=True)
@@ -413,7 +466,9 @@ def _cluster_indices(locs, tol):
 
 
 def wronskian(fs):
-    """Wronskian determinant of ``n+1`` polynomials, by cofactor expansion.
+    """Wronskian determinant of ``n+1`` polynomials, by Laplace expansion
+    along the first row with each minor computed once: ``(n+1)(2^n - 1)``
+    polynomial products, 186 for six functions.
 
     Rows are successive derivatives; works over either coefficient domain
     (all inputs must share one).  The zero polynomial is a valid result and
@@ -446,16 +501,30 @@ def wronskian_derivative(fs):
 
 
 def _determinant(m):
-    if len(m) == 1:
-        return m[0][0]
-    acc = None
-    for j in range(len(m[0])):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _determinant(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    """Laplace expansion along the first row, each minor computed once.
+
+    A minor is fixed by its tuple of columns, since its rows are the last
+    ``len(cols)`` ones.  The products and sums run in the order of plain
+    cofactor recursion, so the result is the same to the last bit.
+    """
+    size = len(m)
+    memo = {}
+
+    def minor(cols):
+        row = m[size - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        det = memo.get(cols)
+        if det is None:
+            for jj, j in enumerate(cols):
+                term = row[j] * minor(cols[:jj] + cols[jj + 1:])
+                if jj % 2:
+                    term = -term
+                det = term if det is None else det + term
+            memo[cols] = det
+        return det
+
+    return minor(tuple(range(size)))
 
 
 def gcd_exact(p: PolyQ, q: PolyQ) -> PolyQ:

@@ -11,11 +11,20 @@ from diskabc import (DiskDomain, HypothesisFailure, LinearDependence, PolyQ,
                      wronskian_degree_bound_check)
 from diskabc.families import (random_coprime_triple, random_independent_tuple,
                               random_polyq)
-from diskabc.polycore import wronskian
+from diskabc.polycore import squarefree_part, wronskian
 
 
 def q(*coeffs):
     return PolyQ.from_rationals(coeffs)
+
+
+def product_radical_degree(ps):
+    """Distinct zeros of the whole product: the count taken before the
+    radical was computed per factor."""
+    prod = ps[0]
+    for p in ps[1:]:
+        prod = prod * p
+    return squarefree_part(prod).degree
 
 
 class TestTheoremA:
@@ -94,6 +103,50 @@ class TestTheoremB:
             ps = random_independent_tuple(rng, n, max_degree=3)
             assert verify_theorem_B(ps).holds
             assert wronskian_degree_bound_check(ps)
+
+
+class TestRadicalCount:
+    def test_theorem_A_corpus(self):
+        rng = np.random.default_rng(44)
+        triples = [random_coprime_triple(rng, max_degree=4) for _ in range(30)]
+        # repeated zeros: z^3 + (1 - z^3) = 1 and (z^2-1)^2 + (2z)^2 = (z^2+1)^2
+        triples += [(q(0, 0, 0, 1), q(1, 0, 0, -1), q(1)),
+                    (q(1, 0, -2, 0, 1), q(0, 0, 4), q(1, 0, 2, 0, 1))]
+        for a, b, c in triples:
+            assert verify_theorem_A(a, b, c).n_distinct == \
+                product_radical_degree([a, b, c])
+        assert verify_theorem_A(*triples[-2]).n_distinct == 4
+
+    def test_theorem_B_corpus(self):
+        rng = np.random.default_rng(46)
+        tuples = [random_independent_tuple(rng, int(rng.integers(1, 4)), max_degree=3)
+                  for _ in range(15)]
+        # repeated zeros: z^3, (z^2-1)^2, 2 and their sum z^4 + z^3 - 2z^2 + 3
+        tuples.append([q(0, 0, 0, 1), q(1, 0, -2, 0, 1), q(2)])
+        for ps in tuples:
+            p_sum = ps[0]
+            for p in ps[1:]:
+                p_sum = p_sum + p
+            assert verify_theorem_B(ps).n_distinct == \
+                product_radical_degree(ps + [p_sum])
+        assert verify_theorem_B(tuples[-1]).n_distinct == 1 + 2 + 0 + 4
+
+
+class TestLargerN:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_theorem_B(self, n):
+        rng = np.random.default_rng(47 + n)
+        ps = random_independent_tuple(rng, n, max_degree=n + 1)
+        r = verify_theorem_B(ps)
+        assert r.n == n and r.holds
+        assert wronskian_degree_bound_check(ps)
+
+    def test_degree_bound_full_degree(self):
+        # six degree-6 inputs: W has degree at most 6 < 36 - 15
+        rng = np.random.default_rng(52)
+        ps = [random_polyq(rng, 6) for _ in range(6)]
+        assert wronskian_degree_bound_check(ps)
+        assert wronskian(ps).degree <= 6
 
 
 class TestWronskianDegreeBound:

@@ -1,8 +1,10 @@
 """Polynomial algebra: arithmetic, Wronskians, roots, exact gcd machinery."""
 
+import operator
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from diskabc import (GaussianRational, NumericalFailure, PolyC, PolyQ,
                      ZeroList, aberth_roots, gcd_exact,
@@ -13,6 +15,73 @@ from diskabc.families import random_polyq
 
 def q(*coeffs):
     return PolyQ.from_rationals(coeffs)
+
+
+# Reference forms of the exact layer: plain cofactor recursion, and PolyQ
+# product and division as loops over Fraction-based GaussianRationals.
+# They are the oracles of the differential tests below.
+
+def ref_determinant(m, mul=operator.mul):
+    if len(m) == 1:
+        return m[0][0]
+    acc = None
+    for j in range(len(m[0])):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = mul(m[0][j], ref_determinant(minor, mul))
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def ref_wronskian(fs):
+    rows = [list(fs)]
+    for _ in range(len(fs) - 1):
+        rows.append([p.derivative() for p in rows[-1]])
+    return ref_determinant(rows, ref_mul if isinstance(fs[0], PolyQ) else operator.mul)
+
+
+def ref_mul(a, b):
+    if a.is_zero or b.is_zero:
+        return PolyQ()
+    out = [GaussianRational()] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x.is_zero:
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return PolyQ(out)
+
+
+def ref_divmod(a, b):
+    r = list(a.coeffs)
+    dq = len(r) - len(b.coeffs)
+    if dq < 0:
+        return PolyQ(), a
+    quo = [GaussianRational()] * (dq + 1)
+    lead = b.coeffs[-1]
+    for k in range(dq, -1, -1):
+        top = r[k + len(b.coeffs) - 1]
+        if top.is_zero:
+            continue
+        f = top / lead
+        quo[k] = f
+        for j, c in enumerate(b.coeffs):
+            r[k + j] = r[k + j] - f * c
+    return PolyQ(quo), PolyQ(r)
+
+
+def scaled_polyq(rng, degree):
+    """random_polyq with each coefficient times a random nonzero Fraction."""
+    return PolyQ(tuple(
+        c * Fraction(int(rng.choice([-1, 1]) * rng.integers(1, 10)),
+                     int(rng.integers(1, 10)))
+        for c in random_polyq(rng, degree).coeffs))
+
+
+def random_polyc(rng, degree):
+    return PolyC(tuple(rng.standard_normal(degree + 1)
+                       + 1j * rng.standard_normal(degree + 1)))
 
 
 def close_poly(p, q_, tol=1e-12):
@@ -144,6 +213,80 @@ class TestWronskian:
             wronskian([PolyC((1,)), q(1)])
         with pytest.raises(ValueError):
             wronskian([])
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_polyq_wronskian(self, n):
+        # distinct degrees and all degrees 6 give W != 0; then random degrees
+        rng = np.random.default_rng(100 + n)
+        shapes = [rng.permutation(7)[:n + 1], [6] * (n + 1)]
+        shapes += [rng.integers(0, 7, n + 1) for _ in range(2 if n < 5 else 0)]
+        for k, degrees in enumerate(shapes):
+            fs = [scaled_polyq(rng, int(d)) for d in degrees]
+            w = wronskian(fs)
+            assert w == ref_wronskian(fs)
+            assert k > 1 or not w.is_zero
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_polyc_wronskian_bit_identical(self, n):
+        rng = np.random.default_rng(110 + n)
+        for _ in range(10):
+            fs = [random_polyc(rng, int(rng.integers(0, 7))) for _ in range(n + 1)]
+            assert wronskian(fs) == ref_wronskian(fs)
+
+    def test_product(self):
+        rng = np.random.default_rng(120)
+        for _ in range(40):
+            a = scaled_polyq(rng, int(rng.integers(0, 9)))
+            b = scaled_polyq(rng, int(rng.integers(0, 9)))
+            assert a * b == ref_mul(a, b)
+        assert q(1, 2) * PolyQ() == PolyQ()
+
+    def test_divmod(self):
+        rng = np.random.default_rng(121)
+        divisors = [q(-1, 1), q(1, (0, 1)), q(2, 0, -1), q((1, 1), 0, (0, -3)),
+                    q(Fraction(1, 3), Fraction(-2, 7)), q(5)]
+        # Gaussian-integer leads, then rational ones
+        divisors += [random_polyq(rng, int(rng.integers(0, 6))) for _ in range(15)]
+        divisors += [scaled_polyq(rng, int(rng.integers(0, 6))) for _ in range(15)]
+        for b in divisors:
+            for a in (scaled_polyq(rng, int(rng.integers(0, 11))),
+                      random_polyq(rng, int(rng.integers(0, 11))) * b, PolyQ()):
+                quo, rem = a.divmod(b)
+                assert (quo, rem) == ref_divmod(a, b)
+                assert a == quo * b + rem
+                assert rem.is_zero or rem.degree < b.degree
+
+    def test_monic(self):
+        rng = np.random.default_rng(122)
+        for _ in range(20):
+            p = scaled_polyq(rng, int(rng.integers(0, 8)))
+            lead = p.coeffs[-1]
+            assert p.monic() == PolyQ(tuple(c / lead for c in p.coeffs))
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_wronskian(self, n):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        z = sympy.Symbol("z")
+        ring = sympy.ZZ_I[z]
+
+        def expr(p):
+            return sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                        + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+                       * z ** k for k, c in enumerate(p.coeffs))
+
+        rng = np.random.default_rng(130 + n)
+        fs = [random_polyq(rng, 6) for _ in range(n + 1)]
+        rows = [[ring.from_sympy(sympy.diff(expr(f), z, i)) for f in fs]
+                for i in range(n + 1)]
+        det = DomainMatrix(rows, (n + 1, n + 1), ring).det()
+        w = wronskian(fs)
+        assert not w.is_zero
+        assert sympy.expand(expr(w) - ring.to_sympy(det)) == 0
 
 
 class TestRoots:
