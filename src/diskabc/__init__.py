@@ -22,19 +22,18 @@ from .mason_stothers import (LimitStudy, MasonReport, kappa_mu_at_radius,
 from .polycore import (CLUSTER_TOL, GaussianRational, PolyC, PolyQ, ZeroList,
                        aberth_roots, gcd_exact, roots_with_multiplicity,
                        squarefree_part, wronskian, wronskian_derivative)
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, boundary_extrema,
-                         boundary_integral, dalpha_norm_area, dalpha_norm_coeff,
-                         dirichlet_norm_area, disk_area_mean, inf_boundary,
-                         sup_boundary, unit_disk_weighted_mean)
+from .quadrature import (boundary_extrema, boundary_integral, dalpha_norm_area,
+                         dalpha_norm_coeff, dirichlet_norm_area, disk_area_mean,
+                         inf_boundary, sup_boundary, unit_disk_weighted_mean)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbcCertificate", "AbcSystem", "AnalyticProduct", "BlaschkeProduct",
-    "CLUSTER_TOL", "DEFAULT_CONFIG", "DalphaReport", "DiskAbcError",
+    "CLUSTER_TOL", "DalphaReport", "DiskAbcError",
     "DiskDomain", "DomainViolation", "GaussianRational", "HypothesisFailure",
     "InputError", "LimitStudy", "LinearDependence", "MasonReport",
-    "NumericalFailure", "PolyC", "PolyQ", "QuadratureConfig",
+    "NumericalFailure", "PolyC", "PolyQ",
     "TruncationSchedule", "UNIT_DISK", "ZeroList", "aberth_roots",
     "blaschke_norm_sq", "boundary_extrema", "boundary_integral",
     "build_system", "check_divisibility", "count_zeros_argument_principle",

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainViolation, NumericalFailure
-from .polycore import CLUSTER_TOL, PolyC, ZeroList, _cluster_indices
+from .polycore import PolyC, ZeroList, _cluster_indices
 
 #: Zeros must satisfy |phi(zero)| < 1 - INTERIOR_MARGIN.
 INTERIOR_MARGIN = 1e-12
@@ -66,8 +66,8 @@ class DiskDomain:
     def boundary_distance(self, z) -> float:
         return abs(abs(z - self.center) - self.radius)
 
-    def contains(self, z, margin: float = 0.0) -> bool:
-        return abs(self.phi(z)) < 1.0 - margin
+    def contains(self, z) -> bool:
+        return abs(self.phi(z)) < 1.0
 
     def to_dict(self) -> dict:
         return {"center": [self.center.real, self.center.imag], "radius": self.radius}
@@ -206,7 +206,7 @@ def lcm(bs) -> BlaschkeProduct:
     tagged = [(a, m, i) for i, b in enumerate(bs) for a, m in b.zeros]
     if not tagged:
         return BlaschkeProduct(dom)
-    groups = _cluster_indices([a for a, _, _ in tagged], CLUSTER_TOL)
+    groups = _cluster_indices([a for a, _, _ in tagged])
     entries = []
     for idxs in groups:
         per_input = {}
@@ -223,7 +223,7 @@ def product(bs) -> BlaschkeProduct:
     bs = list(bs)
     dom = _check_same_domain(bs)
     pairs = [(a, m) for b in bs for a, m in b.zeros]
-    return BlaschkeProduct(dom, ZeroList.merged(pairs, CLUSTER_TOL))
+    return BlaschkeProduct(dom, ZeroList.merged(pairs))
 
 
 def radical(b: BlaschkeProduct) -> BlaschkeProduct:
@@ -231,16 +231,14 @@ def radical(b: BlaschkeProduct) -> BlaschkeProduct:
     return BlaschkeProduct(b.domain, ZeroList(tuple((a, 1) for a, _ in b.zeros)))
 
 
-def count_zeros_argument_principle(f: PolyC, domain: DiskDomain,
-                                   n_samples: int = 4096) -> int:
+def count_zeros_argument_principle(f: PolyC, domain: DiskDomain) -> int:
     """Zero count of ``f`` in the domain by the argument principle.
 
-    Trapezoidal rule for ``(1/2 pi i) \\oint f'/f dz`` on the circle; the
-    result must land within 0.1 of an integer, otherwise a zero is probably
-    sitting on the boundary and a numerical failure is raised.
+    Trapezoidal rule on 4096 points for ``(1/2 pi i) \\oint f'/f dz`` on the
+    circle; the result must land within 0.1 of an integer, otherwise a zero
+    is probably sitting on the boundary and a numerical failure is raised.
     """
-    t = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    z = domain.boundary_point(t)
+    z = domain.boundary_points(4096)
     fp = f.derivative()
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = fp(z) / f(z) * (z - domain.center)

@@ -8,7 +8,8 @@ outcome in the exit code:
     1  a verified inequality failed (theorem-violation alarm)
     2  hypothesis failure
     3  numerical failure
-    4  input error
+    4  input error: unreadable problem file, bad field, or bad
+       command-line arguments
 
 Problem file fields (mode-dependent):
 
@@ -22,8 +23,9 @@ Problem file fields (mode-dependent):
     n, m, eps     example1 / example2
     relaxed       mason_b: use the common-zero relaxation
     rule, levels  truncation
-    quadrature    optional overrides {"boundary_samples": ..., "radial_nodes": ...,
-                  "refinement_limit": ..., "rel_tol": ...}
+
+The quadrature resolution is fixed (see :mod:`diskabc.quadrature`); a
+problem file with a ``quadrature`` field is an input error.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .errors import (DiskAbcError, DomainViolation, HypothesisFailure,
                      InputError, NumericalFailure)
 from .mason_stothers import limit_R_study, verify_theorem_A, verify_theorem_B
 from .polycore import PolyC, PolyQ
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -58,34 +59,10 @@ def _parser():
         prog="diskabc",
         description="verify abc-type zero-count inequalities on disks")
     p.add_argument("problem", help="path to a problem JSON file")
-    p.add_argument("--samples", type=int, default=None,
-                   help="boundary samples (power of two, >= 64)")
-    p.add_argument("--radial", type=int, default=None, help="radial quadrature nodes")
-    p.add_argument("--tol", type=float, default=None, help="relative quadrature tolerance")
     p.add_argument("--alpha", type=float, default=None, help="override the alpha parameter")
     p.add_argument("--seed", type=int, default=0, help="seed echoed into the output")
     p.add_argument("--csv", default=None, help="write mode-specific CSV series here")
     return p
-
-
-def _config(problem, args) -> QuadratureConfig:
-    base = {
-        "boundary_samples": DEFAULT_CONFIG.boundary_samples,
-        "radial_nodes": DEFAULT_CONFIG.radial_nodes,
-        "refinement_limit": DEFAULT_CONFIG.refinement_limit,
-        "rel_tol": DEFAULT_CONFIG.rel_tol,
-    }
-    base.update(problem.get("quadrature", {}))
-    if args.samples is not None:
-        base["boundary_samples"] = args.samples
-    if args.radial is not None:
-        base["radial_nodes"] = args.radial
-    if args.tol is not None:
-        base["rel_tol"] = args.tol
-    try:
-        return QuadratureConfig(**base)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad quadrature configuration: {exc}") from exc
 
 
 def _require(problem, key):
@@ -149,7 +126,9 @@ def _dispatch(problem, args):
     mode = _require(problem, "mode")
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
-    cfg = _config(problem, args)
+    if "quadrature" in problem:
+        raise InputError("the quadrature field is not supported: "
+                         "the quadrature resolution is fixed")
 
     if mode in ("abc", "example1", "example2"):
         if mode == "abc":
@@ -164,7 +143,7 @@ def _dispatch(problem, args):
                                         int(_require(problem, "m")),
                                         float(problem.get("eps", 0.1)))
             domain = UNIT_DISK
-        cert = verify(build_system(fs, domain), cfg)
+        cert = verify(build_system(fs, domain))
         status, code = _certificate_outcome(cert)
         return {"certificate": cert.to_dict(), "domain": domain.to_dict(),
                 "functions": [f.to_data() for f in fs],
@@ -189,7 +168,7 @@ def _dispatch(problem, args):
     if mode == "limit_r":
         polys = _parse_polyq_list(_require(problem, "polynomials"))
         radii = [float(r) for r in _require(problem, "radii")]
-        study = limit_R_study(polys, radii, cfg)
+        study = limit_R_study(polys, radii)
         doc = {"study": study.to_dict(), "status": "pass"}
         if args.csv:
             _write_csv(args.csv, study.csv_rows())
@@ -198,7 +177,7 @@ def _dispatch(problem, args):
 
     if mode == "dalpha":
         fs = _parse_polyc_list(_require(problem, "polynomials"))
-        report = verify_theorem_41(fs, _alpha(problem, args), cfg)
+        report = verify_theorem_41(fs, _alpha(problem, args))
         return {"report": report.to_dict(), "status": "pass"}, EXIT_PASS
 
     # truncation
@@ -237,7 +216,10 @@ def run(problem: dict, args) -> tuple[dict, int]:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's 2 on a bad command line; 0 on --help
+        return EXIT_INPUT if exc.code else EXIT_PASS
     try:
         with open(args.problem) as fh:
             problem = json.load(fh)

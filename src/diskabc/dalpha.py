@@ -29,8 +29,7 @@ from .abc_verifier import build_system
 from .blaschke import UNIT_DISK, BlaschkeProduct
 from .errors import NumericalFailure
 from .polycore import PolyC, ZeroList
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, boundary_extrema,
-                         boundary_integral, dalpha_norm_coeff,
+from .quadrature import (boundary_extrema, boundary_integral, dalpha_norm_coeff,
                          unit_disk_weighted_mean)
 
 #: Adaptive cutoff targets this relative tail bound ...
@@ -69,15 +68,13 @@ class DalphaReport:
 
 @dataclass(frozen=True)
 class TruncationSchedule:
-    """Zero-sequence rule (name or callable k -> (a_k, m_k)) plus the
-    truncation levels K at which to evaluate."""
+    """Zero-sequence rule (a name in ``ZERO_RULES``) plus the truncation
+    levels K at which to evaluate."""
 
-    zero_rule: object
+    zero_rule: str
     truncation_levels: tuple
 
     def rule(self):
-        if callable(self.zero_rule):
-            return self.zero_rule
         try:
             return ZERO_RULES[self.zero_rule]
         except KeyError:
@@ -113,7 +110,7 @@ def _sample_circle(fn, n):
     return out
 
 
-def _adaptive_coeff_norm(fn, h2_total, d1_total, alpha, rel_target=TAIL_REL_TARGET):
+def _adaptive_coeff_norm(fn, h2_total, d1_total, alpha):
     """``sum k^alpha |c_k|^2`` for the analytic function sampled by ``fn``.
 
     ``h2_total`` and ``d1_total`` are the exact values of ``sum |c_k|^2`` and
@@ -134,8 +131,8 @@ def _adaptive_coeff_norm(fn, h2_total, d1_total, alpha, rel_target=TAIL_REL_TARG
         gap1 = max(d1_total - s1, 0.0)
         tail = gap1 ** alpha * gap0 ** (1.0 - alpha)
         scale = max(s_alpha, 1e-12)
-        stable = prev is not None and abs(s_alpha - prev) <= rel_target * scale
-        if stable and tail <= rel_target * scale:
+        stable = prev is not None and abs(s_alpha - prev) <= TAIL_REL_TARGET * scale
+        if stable and tail <= TAIL_REL_TARGET * scale:
             return s_alpha, tail
         prev = s_alpha
         n *= 2
@@ -158,8 +155,7 @@ def blaschke_norm_sq(theta: BlaschkeProduct, alpha: float) -> float:
     return value
 
 
-def product_norm_sq(f: PolyC, theta: BlaschkeProduct, alpha: float,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def product_norm_sq(f: PolyC, theta: BlaschkeProduct, alpha: float) -> float:
     """Squared D_alpha norm of f * theta via circle samples.
 
     The exact H^2 total is the finite coefficient sum of f (theta is
@@ -177,7 +173,7 @@ def product_norm_sq(f: PolyC, theta: BlaschkeProduct, alpha: float,
     if len(theta.zeros):
         d1 += boundary_integral(
             lambda z: np.abs(f(z)) ** 2 * theta.boundary_derivative_modulus(z),
-            UNIT_DISK, cfg)
+            UNIT_DISK)
     value, _ = _adaptive_coeff_norm(lambda z: f(z) * theta(z), h2, d1, alpha)
     return value
 
@@ -189,8 +185,7 @@ def r_alpha(f: PolyC, theta: BlaschkeProduct, alpha: float) -> float:
     return product_norm_sq(f, theta, alpha) - dalpha_norm_coeff(f, alpha)
 
 
-def r_alpha_area(f: PolyC, theta: BlaschkeProduct, alpha: float,
-                 cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def r_alpha_area(f: PolyC, theta: BlaschkeProduct, alpha: float) -> float:
     """The area integral ``\\int |f|^2 (1-|theta|^2)/(1-|z|^2)^{1+alpha} dA``
     comparable to r_alpha.
 
@@ -206,7 +201,7 @@ def r_alpha_area(f: PolyC, theta: BlaschkeProduct, alpha: float,
         ratio = (1.0 - np.abs(theta(z)) ** 2) / (1.0 - r ** 2)
         return np.abs(f(z)) ** 2 * ratio * (1.0 + r) ** (-alpha)
 
-    return unit_disk_weighted_mean(h, -alpha, cfg)
+    return unit_disk_weighted_mean(h, -alpha)
 
 
 def division_monotonicity_check(f: PolyC, theta: BlaschkeProduct,
@@ -220,8 +215,7 @@ def division_monotonicity_check(f: PolyC, theta: BlaschkeProduct,
     return lhs >= rhs - 1e-9
 
 
-def verify_theorem_41(fs, alpha: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> DalphaReport:
+def verify_theorem_41(fs, alpha: float) -> DalphaReport:
     """Build the system on the unit disk and report the weighted-norm ratio
     ``||LCM||^2 / (lambda_alpha^2 + n mu^2 ||rad||^2)``.
 
@@ -236,7 +230,7 @@ def verify_theorem_41(fs, alpha: float,
     norm_lcm = blaschke_norm_sq(system.B_lcm, alpha)
     norm_rad = blaschke_norm_sq(system.B_rad, alpha)
     w = system.W
-    sup, inf = boundary_extrema(w, UNIT_DISK, cfg)
+    sup, inf = boundary_extrema(w, UNIT_DISK)
     lambda_alpha = math.sqrt(dalpha_norm_coeff(w, alpha)) / inf
     mu = sup / inf
     denom = lambda_alpha ** 2 + n * mu ** 2 * norm_rad
@@ -260,11 +254,9 @@ def truncation_study(schedule: TruncationSchedule, alpha: float):
     rows = []
     for level in schedule.truncation_levels:
         pairs = [rule(k) for k in range(1, int(level) + 1)]
-        for a, m in pairs:
+        for a, _ in pairs:
             if not abs(a) < 1.0:
                 raise ValueError(f"zero rule produced |a| >= 1 at {a}")
-            if m < 1:
-                raise ValueError("zero rule produced nonpositive multiplicity")
         criterion = sum(m * (1.0 - abs(a)) ** (1.0 - alpha) for a, m in pairs)
         blaschke_sum = sum(m * (1.0 - abs(a)) for a, m in pairs)
         theta = BlaschkeProduct(UNIT_DISK, ZeroList.merged(pairs))

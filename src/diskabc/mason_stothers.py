@@ -16,14 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .abc_verifier import lambda_mu_kappa
 from .blaschke import DiskDomain
 from .errors import HypothesisFailure, LinearDependence
 from .polycore import (PolyQ, gcd_exact, roots_with_multiplicity,
                        squarefree_part, wronskian)
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, boundary_extrema,
-                         boundary_integral)
 
 _RADIUS_SKIP_REL = 1e-6
 
@@ -183,24 +180,19 @@ def wronskian_degree_bound_check(ps) -> bool:
     return w.degree <= sum(p.degree for p in ps) - n * (n + 1) // 2
 
 
-def kappa_mu_at_radius(w, radius: float,
-                       cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """kappa and mu of w on the circle |z| = radius.
+def kappa_mu_at_radius(w, radius: float):
+    """kappa and mu of w on the circle |z| = radius: those of
+    :func:`lambda_mu_kappa` on the disk of that radius about 0.
 
     kappa is ``(1/2 pi) \\oint |w'| |dz|`` divided by min |w| on the circle;
     mu is max |w| over min |w|.  A constant w gives (0, 1) exactly.
     """
     wc = w.to_polyc() if isinstance(w, PolyQ) else w
-    if wc.is_zero:
-        raise LinearDependence()
-    domain = DiskDomain(0j, radius)
-    sup, inf = boundary_extrema(wc, domain, cfg)
-    wp = wc.derivative()
-    kappa = boundary_integral(lambda z: np.abs(wp(z)), domain, cfg) / inf
-    return kappa, sup / inf
+    _, mu, kappa = lambda_mu_kappa(wc, DiskDomain(0j, radius))
+    return kappa, mu
 
 
-def limit_R_study(ps, radii, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LimitStudy:
+def limit_R_study(ps, radii) -> LimitStudy:
     """Evaluate kappa and mu of the exact Wronskian of ``ps`` on each circle.
 
     All zeros of the p_j and of W must lie inside the smallest radius; a
@@ -231,7 +223,7 @@ def limit_R_study(ps, radii, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LimitStu
         if any(abs(m - r) < _RADIUS_SKIP_REL * r for m in w_moduli):
             skipped.append(r)
             continue
-        kap, mu = kappa_mu_at_radius(wc, r, cfg)
+        kap, mu = kappa_mu_at_radius(wc, r)
         kept.append(r)
         kappas.append(kap)
         mus.append(mu)

@@ -428,12 +428,12 @@ class ZeroList:
         return np.asarray([m for _, m in self.entries], dtype=int)
 
     @classmethod
-    def merged(cls, pairs, tol: float = CLUSTER_TOL) -> "ZeroList":
-        """Cluster locations within ``tol`` and sum their multiplicities."""
+    def merged(cls, pairs) -> "ZeroList":
+        """Merge locations within ``CLUSTER_TOL``, adding multiplicities."""
         pairs = [(complex(a), int(m)) for a, m in pairs]
         if not pairs:
             return cls()
-        groups = _cluster_indices([a for a, _ in pairs], tol)
+        groups = _cluster_indices([a for a, _ in pairs])
         out = []
         for idxs in groups:
             mult = sum(pairs[i][1] for i in idxs)
@@ -442,8 +442,8 @@ class ZeroList:
         return cls(tuple(out))
 
 
-def _cluster_indices(locs, tol):
-    """Union-find clustering of points within ``tol``; deterministic order."""
+def _cluster_indices(locs):
+    """Union-find clustering within ``CLUSTER_TOL``; deterministic order."""
     n = len(locs)
     parent = list(range(n))
 
@@ -455,7 +455,7 @@ def _cluster_indices(locs, tol):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(locs[i] - locs[j]) <= tol:
+            if abs(locs[i] - locs[j]) <= CLUSTER_TOL:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
@@ -551,16 +551,16 @@ def squarefree_part(p: PolyQ) -> PolyQ:
     return q.monic()
 
 
-def roots_with_multiplicity(p: PolyC, cluster_tol: float = CLUSTER_TOL) -> ZeroList:
+def roots_with_multiplicity(p: PolyC) -> ZeroList:
     """All roots of ``p`` with multiplicities.
 
     Companion-matrix eigenvalues first, with an Aberth-Ehrlich retry when
     validation fails.  Exact zero low-order coefficients are stripped
     structurally, so monomial-type factors get an exact root at 0.  Roots
-    within ``cluster_tol`` are merged into one multiple zero and the cluster
+    within ``CLUSTER_TOL`` are merged into one multiple zero and the cluster
     centroid is polished by Newton iteration on the (k-1)-st derivative.
     Multiple roots of floating polynomials scatter at radius ~eps^(1/k), so
-    the default tolerance resolves multiplicity 2 reliably; beyond that,
+    that tolerance resolves multiplicity 2 reliably; beyond that,
     prefer structural constructions.
     """
     if p.is_zero:
@@ -577,34 +577,34 @@ def roots_with_multiplicity(p: PolyC, cluster_tol: float = CLUSTER_TOL) -> ZeroL
     entries = [(0j, k0)] if k0 else []
     if q.degree >= 1:
         raw = np.roots(q._array[::-1])
-        zl = _cluster_refine(q, raw, cluster_tol)
+        zl = _cluster_refine(q, raw)
         ok, info = _roots_ok(q, zl)
         if not ok:
             raw = aberth_roots(q)
-            zl = _cluster_refine(q, raw, cluster_tol)
+            zl = _cluster_refine(q, raw)
             ok, info = _roots_ok(q, zl)
             if not ok:
                 raise NumericalFailure("root finding did not converge", info)
         entries.extend(zl.entries)
-    return ZeroList.merged(entries, cluster_tol)
+    return ZeroList.merged(entries)
 
 
-def _cluster_refine(q, raw, tol):
-    groups = _cluster_indices(list(raw), tol)
+def _cluster_refine(q, raw):
+    groups = _cluster_indices(list(raw))
     ent = []
     for idxs in groups:
         m = len(idxs)
         x = complex(np.mean([raw[i] for i in idxs]))
         ent.append((_newton_refine(q, x, m), m))
-    return ZeroList.merged(ent, tol)
+    return ZeroList.merged(ent)
 
 
-def _newton_refine(p, x, mult, max_iter=60):
+def _newton_refine(p, x, mult):
     g = p
     for _ in range(mult - 1):
         g = g.derivative()
     gp = g.derivative()
-    for _ in range(max_iter):
+    for _ in range(60):
         dv = gp(x)
         if dv == 0:
             break
@@ -635,16 +635,16 @@ def _roots_ok(p, zl):
     return True, {"worst_residual": worst}
 
 
-def aberth_roots(p: PolyC, max_iter: int = 300, tol: float = 1e-14) -> np.ndarray:
+def aberth_roots(p: PolyC) -> np.ndarray:
     """Aberth-Ehrlich simultaneous iteration; fallback root finder."""
     d = p.degree
     if d is None or d < 1:
         raise ValueError("aberth_roots needs degree >= 1")
     c = p._array
-    radius = 1.0 + float(np.max(np.abs(c[:-1] / c[-1]))) if d >= 1 else 1.0
+    radius = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
     x = radius * np.exp(2j * np.pi * (np.arange(d) + 0.376) / d)
     pp = p.derivative()
-    for _ in range(max_iter):
+    for _ in range(300):
         pv = p(x)
         dv = pp(x)
         dv = np.where(dv == 0, 1e-300, dv)
@@ -654,6 +654,6 @@ def aberth_roots(p: PolyC, max_iter: int = 300, tol: float = 1e-14) -> np.ndarra
         s = np.sum(1.0 / diff, axis=1) - 1.0  # subtract the diagonal's 1/1
         w = newton / (1.0 - newton * s)
         x = x - w
-        if np.max(np.abs(w)) <= tol * (1.0 + np.max(np.abs(x))):
+        if np.max(np.abs(w)) <= 1e-14 * (1.0 + np.max(np.abs(x))):
             break
     return x

@@ -4,13 +4,15 @@ Measures follow the normalization that gives the unit circle and unit disk
 total mass 1: boundary integrals are ``(1/2 pi) \\oint g ds`` (so a circle of
 radius R has mass R) and area integrals are ``(1/pi) \\iint h dA``.
 
-Boundary integrals use the trapezoidal rule, which is spectrally accurate
-for smooth periodic integrands, with sample doubling until two successive
-estimates agree to the configured relative tolerance.
+Every quadrature follows one fixed policy (the module constants below):
+boundary integrals use the trapezoidal rule, which is spectrally accurate
+for smooth periodic integrands, on ``BOUNDARY_SAMPLES`` points doubled at
+most ``REFINEMENT_LIMIT`` times until two successive estimates agree to
+``REL_TOL`` relative to the estimate.
 
 The boundary extrema ``sup |p|`` and ``inf |p|`` take polynomials only.
 :func:`boundary_extrema` samples ``|p|`` once on a uniform grid of at least
-``boundary_samples`` and at least ``16 (deg + 1)`` points; every sampled
+``BOUNDARY_SAMPLES`` and at least ``16 (deg + 1)`` points; every sampled
 local maximum and minimum is then polished by a vectorised Newton iteration
 with the analytic ``p'`` and ``p''``, and the best sampled or polished
 values are returned.  It also holds the relative boundary-vanishing test.
@@ -30,7 +32,6 @@ Golub-Welsch eigenvalue method, so numpy is the only dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,31 +46,16 @@ BOUNDARY_VANISHING_REL = 1e-12
 #: Cap on the Newton polishing steps of the boundary extrema.
 _NEWTON_ITERATIONS = 30
 
+#: The one resolution and convergence policy of every quadrature: the first
+#: boundary grid, the radial nodes of the area rule (whose first probe uses
+#: half of both), the number of doublings allowed, and the relative
+#: agreement of two successive estimates that ends the doubling.
+BOUNDARY_SAMPLES = 1024
+RADIAL_NODES = 128
+REFINEMENT_LIMIT = 4
+REL_TOL = 1e-9
+
 _BLOCK_POINTS = 1 << 19
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Resolution and convergence policy for all quadrature routines."""
-
-    boundary_samples: int = 1024
-    radial_nodes: int = 128
-    refinement_limit: int = 4
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        n = self.boundary_samples
-        if n < 64 or (n & (n - 1)) != 0:
-            raise ValueError("boundary_samples must be a power of two >= 64")
-        if self.radial_nodes < 8:
-            raise ValueError("radial_nodes must be at least 8")
-        if self.refinement_limit < 0:
-            raise ValueError("refinement_limit must be nonnegative")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 @lru_cache(maxsize=64)
@@ -100,18 +86,18 @@ def _derivative_fn(f):
     raise TypeError(f"no derivative evaluation available for {type(f).__name__}")
 
 
-def boundary_integral(g, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def boundary_integral(g, domain) -> float:
     """``(1/2 pi) \\oint g ds`` over the domain boundary.
 
     ``g`` must accept an ndarray of boundary points and return real values.
     """
-    n = cfg.boundary_samples
+    n = BOUNDARY_SAMPLES
     prev = None
-    for _ in range(cfg.refinement_limit + 1):
+    for _ in range(REFINEMENT_LIMIT + 1):
         t = 2.0 * np.pi * np.arange(n) / n
         vals = np.asarray(g(domain.boundary_point(t)), dtype=float)
         est = float(domain.radius * vals.mean())
-        if prev is not None and abs(est - prev) <= cfg.rel_tol * abs(est):
+        if prev is not None and abs(est - prev) <= REL_TOL * abs(est):
             return est
         prev = est
         n *= 2
@@ -120,12 +106,12 @@ def boundary_integral(g, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> floa
         {"last_estimates": (prev, est)})
 
 
-def _modulus_samples(p, domain, cfg):
+def _modulus_samples(p, domain):
     """Angles and ``|p|`` on a uniform boundary grid of at least
-    ``boundary_samples`` and at least ``16 (deg + 1)`` points."""
+    ``BOUNDARY_SAMPLES`` and at least ``16 (deg + 1)`` points."""
     if not isinstance(p, PolyC):
         raise TypeError(f"expected a PolyC, got {type(p).__name__}")
-    n = cfg.boundary_samples
+    n = BOUNDARY_SAMPLES
     while n < 16 * len(p.coeffs):
         n *= 2
     t = 2.0 * np.pi * np.arange(n) / n
@@ -172,7 +158,7 @@ def _polished_extremum(p, domain, t, vals, sign: float) -> float:
     return sign * best
 
 
-def sup_boundary(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def sup_boundary(p, domain) -> float:
     """Maximum of ``|p|`` over the boundary circle for a polynomial ``p``.
 
     ``|p|`` is sampled once; every sampled local maximum is polished by
@@ -180,11 +166,11 @@ def sup_boundary(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     so the result is never below the sampled maximum.  The zero polynomial
     gives 0.
     """
-    t, vals = _modulus_samples(p, domain, cfg)
+    t, vals = _modulus_samples(p, domain)
     return _polished_extremum(p, domain, t, vals, 1.0)
 
 
-def boundary_extrema(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def boundary_extrema(p, domain):
     """``(sup |p|, inf |p|)`` over the boundary circle for a polynomial ``p``.
 
     One sampling pass feeds both Newton polishes, so sup equals
@@ -195,7 +181,7 @@ def boundary_extrema(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG):
     effectively vanishes on the boundary.  The test is relative, so it does
     not depend on the scale of ``p``.
     """
-    t, vals = _modulus_samples(p, domain, cfg)
+    t, vals = _modulus_samples(p, domain)
     if p.degree == 0:
         v = abs(p.coeffs[0])
         return v, v
@@ -209,11 +195,11 @@ def boundary_extrema(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG):
     return sup, inf
 
 
-def inf_boundary(p, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def inf_boundary(p, domain) -> float:
     """Minimum of ``|p|`` over the boundary circle for a polynomial ``p``;
     the second value of :func:`boundary_extrema`, whose vanishing test it
     shares."""
-    return boundary_extrema(p, domain, cfg)[1]
+    return boundary_extrema(p, domain)[1]
 
 
 def _angular_means(h, r, n_angular):
@@ -229,37 +215,36 @@ def _angular_means(h, r, n_angular):
     return out
 
 
-def disk_area_mean(h, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def disk_area_mean(h, domain) -> float:
     """``(1/pi) \\iint_domain h dA``: the unweighted unit-disk rule applied
     to ``h(c + R w)``, scaled by the area factor ``R^2``."""
     c, radius = domain.center, domain.radius
     return radius ** 2 * unit_disk_weighted_mean(
-        lambda w: h(c + radius * w), 0.0, cfg)
+        lambda w: h(c + radius * w), 0.0)
 
 
-def unit_disk_weighted_mean(h, gamma: float,
-                            cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def unit_disk_weighted_mean(h, gamma: float) -> float:
     """``(1/pi) \\iint_D h(z) (1-|z|)^gamma dA`` on the unit disk, gamma > -1.
 
     Gauss-Jacobi radial nodes (Gauss-Legendre at gamma = 0) absorb the
     radial weight exactly, so ``h`` only needs to be smooth for full-rate
     convergence; the angular direction is a trapezoid sum.  A half-size
-    probe (``boundary_samples / 2`` angles, ``radial_nodes / 2`` radii) runs
+    probe (``BOUNDARY_SAMPLES / 2`` angles, ``RADIAL_NODES / 2`` radii) runs
     first, then both directions double until two successive estimates agree
-    to ``rel_tol``, at most ``refinement_limit + 1`` times.
+    to ``REL_TOL``, at most ``REFINEMENT_LIMIT + 1`` times.
     """
     if not gamma > -1.0:
         raise ValueError("weight exponent must exceed -1 for integrability")
-    m, k = max(32, cfg.boundary_samples // 2), max(8, cfg.radial_nodes // 2)
+    m, k = BOUNDARY_SAMPLES // 2, RADIAL_NODES // 2
     prev = None
-    for _ in range(cfg.refinement_limit + 2):
+    for _ in range(REFINEMENT_LIMIT + 2):
         x, w = _gauss_jacobi(k, float(gamma))
         r = (x + 1.0) / 2.0
         est = float(2.0 ** -gamma * np.sum(w * r * _angular_means(h, r, m)))
         if not np.isfinite(est):
             raise NumericalFailure("non-finite value in area quadrature",
                                    {"estimate": est})
-        if prev is not None and abs(est - prev) <= cfg.rel_tol * abs(est):
+        if prev is not None and abs(est - prev) <= REL_TOL * abs(est):
             return est
         prev = est
         m *= 2
@@ -269,7 +254,7 @@ def unit_disk_weighted_mean(h, gamma: float,
         {"last_estimates": (prev, est)})
 
 
-def dirichlet_norm_area(f, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def dirichlet_norm_area(f, domain) -> float:
     """Squared Dirichlet norm ``(1/pi) \\iint |f'|^2 dA`` over the domain.
 
     The Dirichlet integral is conformally invariant, so for a polynomial it
@@ -285,7 +270,7 @@ def dirichlet_norm_area(f, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> fl
         b = np.fft.fft(f(domain.boundary_points(n))) / n
         return float(np.sum(np.arange(n) * np.abs(b) ** 2))
     fp = _derivative_fn(f)
-    return disk_area_mean(lambda z: np.abs(fp(z)) ** 2, domain, cfg)
+    return disk_area_mean(lambda z: np.abs(fp(z)) ** 2, domain)
 
 
 def dalpha_norm_coeff(f, alpha: float) -> float:
@@ -302,11 +287,10 @@ def dalpha_norm_coeff(f, alpha: float) -> float:
     return total
 
 
-def dalpha_norm_area(f, alpha: float,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def dalpha_norm_area(f, alpha: float) -> float:
     """``(1/pi) \\iint_D |f'|^2 (1-|z|)^{1-alpha} dA``; at alpha = 1 this is
     exactly the Dirichlet integral."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     fp = _derivative_fn(f)
-    return unit_disk_weighted_mean(lambda z: np.abs(fp(z)) ** 2, 1.0 - alpha, cfg)
+    return unit_disk_weighted_mean(lambda z: np.abs(fp(z)) ** 2, 1.0 - alpha)

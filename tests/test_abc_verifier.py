@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diskabc import (DiskDomain, HypothesisFailure, LinearDependence, PolyC,
-                     UNIT_DISK, ZeroList, build_system, check_divisibility,
-                     from_zeros, lambda_mu_kappa, verify)
+from diskabc import (CLUSTER_TOL, AbcSystem, DiskDomain, HypothesisFailure,
+                     LinearDependence, PolyC, UNIT_DISK, ZeroList, build_system,
+                     check_divisibility, from_zeros, lambda_mu_kappa, verify)
+from diskabc import blaschke as bl
 from diskabc.abc_verifier import gapped_monomial_family, monomial_family
 from diskabc.families import random_admissible_system
 from diskabc.polycore import PolyQ, wronskian
@@ -101,6 +102,26 @@ class TestDivisibility:
         assert (0j, 3) in system.B_lcm.zeros.entries
         assert np.allclose(system.W.coeffs, (0, 3))
         assert check_divisibility(system)
+
+    def test_chain_cluster_counts_radical_order(self):
+        # a union-find chain of zeros 0.99e-6 apart is one LCM zero and one
+        # radical zero, but their centroids (plain and multiplicity-weighted
+        # means) lie more than CLUSTER_TOL apart; the radical still has
+        # order 1 there, so ord(W) = 7 plus n = 1 reaches the LCM's 8
+        locs = [0.3 + 0.99e-6 * i for i in range(5)]
+        bs = [from_zeros(UNIT_DISK, [(a, 8 if i == 4 else 1)])
+              for i, a in enumerate(locs)]
+        b_lcm = bl.lcm(bs)
+        b_rad = bl.radical(bl.product(bs))
+        (a_lcm, k), = b_lcm.zeros
+        (a_rad, _), = b_rad.zeros
+        assert k == 8 and abs(a_lcm - a_rad) > CLUSTER_TOL
+        fs = (PolyC((1,)), PolyC((0, 1)))
+        system = AbcSystem(UNIT_DISK, fs, fs[0] + fs[1], tuple(bs), b_lcm,
+                           b_rad, PolyC.from_roots([a_lcm] * 7))
+        assert check_divisibility(system)
+        lower = replace(system, W=PolyC.from_roots([a_lcm] * 6))
+        assert not check_divisibility(lower)
 
 
 class TestVerify:

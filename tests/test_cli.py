@@ -165,10 +165,31 @@ class TestErrors:
         assert doc["reason"] == "boundary_zero"
 
     def test_bad_quadrature_override(self, tmp_path, capsys):
-        bad = dict(PROBLEMS["example1"])
-        bad["quadrature"] = {"boundary_samples": 100}
-        code, doc = run_main(capsys, [write(tmp_path, bad)])
-        assert code == 4
+        # the resolution is not settable, not even to the default values
+        for quad in ({"boundary_samples": 100},
+                     {"boundary_samples": 1024, "rel_tol": 1e-9}):
+            bad = dict(PROBLEMS["example1"], quadrature=quad)
+            code, doc = run_main(capsys, [write(tmp_path, bad)])
+            assert code == 4
+            assert doc["status"] == "input_error"
+            assert "quadrature" in doc["detail"]
+
+    @pytest.mark.parametrize("extra", [["--bogus"], ["--samples", "2048"],
+                                       ["--radial", "64"], ["--tol", "1e-6"]])
+    def test_bad_argument_exit(self, tmp_path, capsys, extra):
+        path = write(tmp_path, PROBLEMS["example1"])
+        assert main([path] + extra) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_missing_problem_argument(self, capsys):
+        assert main([]) == 4
+        assert "required: problem" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "--alpha" in capsys.readouterr().out
 
 
 class TestDeterminism:
@@ -178,3 +199,10 @@ class TestDeterminism:
             [sys.executable, "-m", "diskabc", path, "--seed", "7"],
             capture_output=True, check=True).stdout for _ in range(2)]
         assert runs[0] == runs[1]
+
+    def test_bad_argument_exit_code_from_shell(self, tmp_path):
+        path = write(tmp_path, PROBLEMS["example1"])
+        run = subprocess.run([sys.executable, "-m", "diskabc", "--bogus", path],
+                             capture_output=True)
+        assert run.returncode == 4
+        assert run.stdout == b""

@@ -214,6 +214,7 @@ class TestTruncationStudy:
             truncation_study(TruncationSchedule("nope", (2,)), 0.5)
 
     def test_rule_validation(self):
-        bad = TruncationSchedule(lambda k: (1.0, 1), (2,))
+        # 1 - 2^-54 rounds to 1.0: the geometric rule leaves the open disk
+        bad = TruncationSchedule("geometric_boundary", (54,))
         with pytest.raises(ValueError):
             truncation_study(bad, 0.5)

@@ -202,6 +202,53 @@ class TestLimitStudy:
             limit_R_study(ps, [0.5, 10.0])  # roots not enclosed
 
 
+def max_zero_modulus(p):
+    """Largest zero modulus of a PolyQ by numpy's companion matrix; 0 for a
+    constant."""
+    coeffs = p.to_polyc().coeffs
+    return max((abs(z) for z in np.roots(coeffs[::-1])), default=0.0)
+
+
+def assert_limit_brackets(ps, study):
+    """The closed-form brackets on every circle of ``study``: with W the
+    Wronskian of ``ps``, d = deg W and rho its largest zero modulus,
+
+        d <= kappa(R) <= mu(R) d R / (R - rho),
+        1 <= mu(R) <= ((R + rho) / (R - rho))^d,
+
+    to a relative slack of 1e-9 (W = z^d attains the outer bounds)."""
+    w = wronskian(ps)
+    d, rho = w.degree, max_zero_modulus(w)
+    lo, hi = 1.0 - 1e-9, 1.0 + 1e-9
+    assert study.radii
+    for r, kap, mu in zip(study.radii, study.kappa_values, study.mu_values):
+        assert d * lo <= kap <= mu * d * r / (r - rho) * hi
+        assert lo <= mu <= ((r + rho) / (r - rho)) ** d * hi
+
+
+class TestLimitBrackets:
+    def test_criterion_08_study(self):
+        ps = [q(1), q(0, 0, Fraction(1, 2), 0, Fraction(1, 4))]
+        assert_limit_brackets(ps, limit_R_study(ps, [10, 40, 160, 640, 2560]))
+
+    def test_pure_power_is_equality(self):
+        # W = 3 z^2 / 4: kappa = d and mu = 1 on every circle
+        ps = [q(1), q(0, 0, 0, Fraction(1, 4))]
+        study = limit_R_study(ps, [0.5, 3.0, 70.0])
+        assert_limit_brackets(ps, study)
+        assert study.kappa_values == pytest.approx([2.0] * 3, rel=1e-12)
+        assert study.mu_values == pytest.approx([1.0] * 3, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_independent_tuples(self, n):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(6):
+            ps = random_independent_tuple(rng, n, max_degree=n + 2)
+            rho = max(max_zero_modulus(p) for p in ps + [wronskian(ps)])
+            radii = [f * (rho + 0.1) for f in (1.25, 2.0, 8.0, 64.0)]
+            assert_limit_brackets(ps, limit_R_study(ps, radii))
+
+
 class TestCrossModuleConsistency:
     def test_counting_certificate_at_large_radius(self):
         # disjoint zero sets and R beyond every root modulus: the certificate's

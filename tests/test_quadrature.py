@@ -11,7 +11,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import ellipe
 
 from diskabc import (AnalyticProduct, DiskDomain, HypothesisFailure,
-                     NumericalFailure, PolyC, QuadratureConfig, UNIT_DISK,
+                     NumericalFailure, PolyC, UNIT_DISK,
                      boundary_extrema, boundary_integral, dalpha_norm_area,
                      dalpha_norm_coeff, dirichlet_norm_area, disk_area_mean,
                      from_zeros, inf_boundary, sup_boundary)
@@ -53,11 +53,6 @@ class TestBoundaryIntegral:
         dom = DiskDomain(0, 5.0)
         assert boundary_integral(lambda z: np.ones(z.shape), dom) == \
             pytest.approx(5.0)
-
-    def test_non_convergence_raises(self):
-        cfg = QuadratureConfig(refinement_limit=0)
-        with pytest.raises(NumericalFailure):
-            boundary_integral(lambda z: np.abs(z + 3.0), UNIT_DISK, cfg)
 
     @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-6])
     def test_convergence_test_is_relative(self, s):
@@ -213,13 +208,11 @@ class TestDirichlet:
     def test_closed_form_matches_area_rule(self, dom):
         # the FFT closed form against Gauss-Legendre x trapezoid of |p'|^2
         rng = np.random.default_rng(26)
-        cfg = QuadratureConfig()
         for _ in range(6):
             p = random_coeff_polyc(rng, 30)
             dp = p.derivative()
-            want = disk_area_mean(lambda z: np.abs(dp(z)) ** 2, dom, cfg)
-            assert dirichlet_norm_area(p, dom, cfg) == \
-                pytest.approx(want, rel=cfg.rel_tol)
+            want = disk_area_mean(lambda z: np.abs(dp(z)) ** 2, dom)
+            assert dirichlet_norm_area(p, dom) == pytest.approx(want, rel=1e-9)
 
     def test_area_mean_constant(self):
         dom = DiskDomain(2 - 1j, 3.0)
@@ -325,15 +318,3 @@ class TestComparability:
         assert abs(hi1 - hi2) <= 0.1 * hi1
         print(f"alpha={alpha}: area/coeff ratio bracket "
               f"[{min(lo1, lo2):.4f}, {max(hi1, hi2):.4f}]")
-
-
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(boundary_samples=100)  # not a power of two
-        with pytest.raises(ValueError):
-            QuadratureConfig(boundary_samples=32)
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(radial_nodes=2)
