@@ -9,22 +9,21 @@ from .abc_verifier import (AbcCertificate, AbcSystem, build_system,
                            check_divisibility, gapped_monomial_family,
                            lambda_mu_kappa, monomial_family, verify)
 from .blaschke import (AnalyticProduct, BlaschkeProduct, DiskDomain,
-                       UNIT_DISK, count_zeros_argument_principle,
-                       from_zeros, lcm, product, radical)
+                       UNIT_DISK, from_zeros, lcm, product, radical)
 from .dalpha import (DalphaReport, TruncationSchedule, blaschke_norm_sq,
                      division_monotonicity_check, product_norm_sq, r_alpha,
                      r_alpha_area, truncation_study, verify_theorem_41)
 from .errors import (DiskAbcError, DomainViolation, HypothesisFailure,
                      InputError, LinearDependence, NumericalFailure)
-from .mason_stothers import (LimitStudy, MasonReport, kappa_mu_at_radius,
-                             limit_R_study, verify_theorem_A,
-                             verify_theorem_B, wronskian_degree_bound_check)
+from .mason_stothers import (LimitStudy, MasonReport, limit_R_study,
+                             verify_theorem_A, verify_theorem_B,
+                             wronskian_degree_bound_check)
 from .polycore import (CLUSTER_TOL, GaussianRational, PolyC, PolyQ, ZeroList,
                        aberth_roots, gcd_exact, roots_with_multiplicity,
-                       squarefree_part, wronskian, wronskian_derivative)
-from .quadrature import (boundary_extrema, boundary_integral, dalpha_norm_area,
-                         dalpha_norm_coeff, dirichlet_norm_area, disk_area_mean,
-                         inf_boundary, sup_boundary, unit_disk_weighted_mean)
+                       squarefree_part, wronskian)
+from .quadrature import (boundary_extrema, boundary_integral, dalpha_norm_coeff,
+                         dirichlet_norm_area, disk_area_mean, inf_boundary,
+                         sup_boundary, unit_disk_weighted_mean)
 
 __version__ = "0.1.0"
 
@@ -36,14 +35,13 @@ __all__ = [
     "NumericalFailure", "PolyC", "PolyQ",
     "TruncationSchedule", "UNIT_DISK", "ZeroList", "aberth_roots",
     "blaschke_norm_sq", "boundary_extrema", "boundary_integral",
-    "build_system", "check_divisibility", "count_zeros_argument_principle",
-    "dalpha_norm_area", "dalpha_norm_coeff", "dirichlet_norm_area",
-    "disk_area_mean", "division_monotonicity_check",
+    "build_system", "check_divisibility", "dalpha_norm_coeff",
+    "dirichlet_norm_area", "disk_area_mean", "division_monotonicity_check",
     "from_zeros", "gapped_monomial_family", "gcd_exact", "inf_boundary",
-    "kappa_mu_at_radius", "lambda_mu_kappa", "lcm", "limit_R_study",
+    "lambda_mu_kappa", "lcm", "limit_R_study",
     "monomial_family", "product", "product_norm_sq", "r_alpha",
     "r_alpha_area", "radical", "roots_with_multiplicity", "squarefree_part",
     "sup_boundary", "truncation_study", "unit_disk_weighted_mean", "verify",
     "verify_theorem_41", "verify_theorem_A", "verify_theorem_B", "wronskian",
-    "wronskian_degree_bound_check", "wronskian_derivative",
+    "wronskian_degree_bound_check",
 ]

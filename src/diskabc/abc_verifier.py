@@ -18,7 +18,7 @@ the estimates, and emits a certificate for the two inequalities
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,23 +81,8 @@ class AbcCertificate:
     divisibility_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "N_lcm": self.N_lcm,
-            "N_rad": self.N_rad,
-            "lambda": self.lambda_,
-            "mu": self.mu,
-            "kappa": self.kappa,
-            "lhs": self.lhs,
-            "rhs_21": self.rhs_21,
-            "rhs_22": self.rhs_22,
-            "slack_21": self.slack_21,
-            "slack_22": self.slack_22,
-            "pass_21": self.pass_21,
-            "pass_22": self.pass_22,
-            "hypothesis_ok": self.hypothesis_ok,
-            "divisibility_ok": self.divisibility_ok,
-        }
+        return {("lambda" if k == "lambda_" else k): v
+                for k, v in asdict(self).items()}
 
 
 def build_system(fs, domain: DiskDomain) -> AbcSystem:

@@ -4,9 +4,8 @@ A disk domain carries the explicit conformal map ``phi(z) = (z - z0)/R``
 onto the unit disk, so no numerical Riemann mapping is ever needed.  A
 Blaschke product is stored as its domain plus the list of distinct zeros
 with multiplicities; evaluation, analytic differentiation, the boundary
-derivative modulus (a sum of Poisson-kernel terms), LCM / radical /
-product combinators, and an argument-principle zero-counting oracle all
-live here.
+derivative modulus (a sum of Poisson-kernel terms) and the LCM / radical /
+product combinators live here.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainViolation, NumericalFailure
-from .polycore import PolyC, ZeroList, _cluster_indices
+from .errors import DomainViolation
+from .polycore import PolyC, ZeroList, _clusters
 
 #: Zeros must satisfy |phi(zero)| < 1 - INTERIOR_MARGIN.
 INTERIOR_MARGIN = 1e-12
@@ -116,65 +115,45 @@ class BlaschkeProduct:
 
     def __call__(self, z):
         zz = np.asarray(z, dtype=complex)
-        if not len(self.zeros):
-            out = np.ones_like(zz)
-        else:
-            w = self.domain.phi(zz)
-            out = np.ones_like(zz)
-            for va, m in zip(self._phi_locs, self._mults):
-                fac = (w - va) / (1.0 - va.conjugate() * w)
-                out = out * _ipow(fac, int(m))
+        w = self.domain.phi(zz)
+        out = np.ones_like(zz)
+        for va, m in zip(self._phi_locs, self._mults):
+            fac = (w - va) / (1.0 - va.conjugate() * w)
+            out = out * _ipow(fac, int(m))
         return complex(out) if zz.ndim == 0 else out
 
     def derivative_eval(self, z):
         """Analytic derivative from the factored form (product rule)."""
         zz = np.asarray(z, dtype=complex)
-        if not len(self.zeros):
-            out = np.zeros_like(zz)
-        else:
-            w = self.domain.phi(zz)
-            count = len(self.zeros)
-            fac, dfac, pw = [], [], []
-            for va, m in zip(self._phi_locs, self._mults):
-                den = 1.0 - va.conjugate() * w
-                f = (w - va) / den
-                fac.append(f)
-                dfac.append((1.0 - abs(va) ** 2) / (self.domain.radius * den ** 2))
-                pw.append(_ipow(f, int(m)))
-            pref = [np.ones_like(w)]
-            for k in range(count - 1):
-                pref.append(pref[-1] * pw[k])
-            suf = [np.ones_like(w)] * count
-            for k in range(count - 2, -1, -1):
-                suf[k] = suf[k + 1] * pw[k + 1]
-            out = np.zeros_like(w)
-            for k, m in enumerate(self._mults):
-                out = out + (int(m) * _ipow(fac[k], int(m) - 1)
-                             * dfac[k] * pref[k] * suf[k])
+        w = self.domain.phi(zz)
+        count = len(self.zeros)
+        fac, dfac, pw = [], [], []
+        for va, m in zip(self._phi_locs, self._mults):
+            den = 1.0 - va.conjugate() * w
+            f = (w - va) / den
+            fac.append(f)
+            dfac.append((1.0 - abs(va) ** 2) / (self.domain.radius * den ** 2))
+            pw.append(_ipow(f, int(m)))
+        pref = [np.ones_like(w)]
+        for k in range(count - 1):
+            pref.append(pref[-1] * pw[k])
+        suf = [np.ones_like(w)] * count
+        for k in range(count - 2, -1, -1):
+            suf[k] = suf[k + 1] * pw[k + 1]
+        out = np.zeros_like(w)
+        for k, m in enumerate(self._mults):
+            out = out + (int(m) * _ipow(fac[k], int(m) - 1)
+                         * dfac[k] * pref[k] * suf[k])
         return complex(out) if zz.ndim == 0 else out
 
     def boundary_derivative_modulus(self, zeta):
         """|B'| on the boundary via the Poisson-kernel closed form."""
         zz = np.asarray(zeta, dtype=complex)
-        if not len(self.zeros):
-            out = np.zeros(zz.shape, dtype=float)
-        else:
-            w = self.domain.phi(zz)[..., None]
-            va = self._phi_locs
-            terms = self._mults * (1.0 - np.abs(va) ** 2) / np.abs(1.0 - np.conj(va) * w) ** 2
-            out = np.sum(terms, axis=-1) / self.domain.radius
+        w = self.domain.phi(zz)[..., None]
+        va = self._phi_locs
+        terms = self._mults * (1.0 - np.abs(va) ** 2) / np.abs(1.0 - np.conj(va) * w) ** 2
+        out = np.sum(terms, axis=-1) / self.domain.radius
         return float(out) if zz.ndim == 0 else out
-
-    def to_dict(self) -> dict:
-        d = self.domain.to_dict()
-        d["zeros"] = [[a.real, a.imag, m] for a, m in self.zeros]
-        return d
-
-    @classmethod
-    def from_dict(cls, data) -> "BlaschkeProduct":
-        dom = DiskDomain.from_dict(data)
-        zl = ZeroList(tuple((complex(re, im), int(m)) for re, im, m in data["zeros"]))
-        return cls(dom, zl)
 
 
 def from_zeros(domain: DiskDomain, zeros) -> BlaschkeProduct:
@@ -198,22 +177,19 @@ def lcm(bs) -> BlaschkeProduct:
     """Least common multiple: union of zero sets, pointwise maximum multiplicity.
 
     Locations from different factors are merged when within the clustering
-    tolerance; a factor's multiplicity at a merged point is the sum of its own
-    entries that fell into the cluster.
+    tolerance, at the same point as in :func:`product`; a factor's
+    multiplicity at a merged point is the sum of its own entries that fell
+    into the cluster.
     """
     bs = list(bs)
     dom = _check_same_domain(bs)
-    tagged = [(a, m, i) for i, b in enumerate(bs) for a, m in b.zeros]
-    if not tagged:
-        return BlaschkeProduct(dom)
-    groups = _cluster_indices([a for a, _, _ in tagged])
+    pairs = [(a, m) for b in bs for a, m in b.zeros]
+    source = [i for i, b in enumerate(bs) for _ in b.zeros]
     entries = []
-    for idxs in groups:
+    for idxs, loc, _ in _clusters(pairs):
         per_input = {}
         for i in idxs:
-            a, m, src = tagged[i]
-            per_input[src] = per_input.get(src, 0) + m
-        loc = sum(tagged[i][0] for i in idxs) / len(idxs)
+            per_input[source[i]] = per_input.get(source[i], 0) + pairs[i][1]
         entries.append((loc, max(per_input.values())))
     return BlaschkeProduct(dom, ZeroList(tuple(entries)))
 
@@ -229,31 +205,6 @@ def product(bs) -> BlaschkeProduct:
 def radical(b: BlaschkeProduct) -> BlaschkeProduct:
     """Same zero locations, every multiplicity reset to 1."""
     return BlaschkeProduct(b.domain, ZeroList(tuple((a, 1) for a, _ in b.zeros)))
-
-
-def count_zeros_argument_principle(f: PolyC, domain: DiskDomain) -> int:
-    """Zero count of ``f`` in the domain by the argument principle.
-
-    Trapezoidal rule on 4096 points for ``(1/2 pi i) \\oint f'/f dz`` on the
-    circle; the result must land within 0.1 of an integer, otherwise a zero
-    is probably sitting on the boundary and a numerical failure is raised.
-    """
-    z = domain.boundary_points(4096)
-    fp = f.derivative()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = fp(z) / f(z) * (z - domain.center)
-    integral = complex(np.mean(vals))
-    if not (np.isfinite(integral.real) and np.isfinite(integral.imag)):
-        raise NumericalFailure(
-            "argument-principle integrand is singular on the sample grid "
-            "(zero on the boundary)", {"integral": integral})
-    nearest = round(integral.real)
-    if abs(integral - nearest) > 0.1:
-        raise NumericalFailure(
-            "argument-principle integral is not close to an integer "
-            "(possible zero on the boundary)",
-            {"integral": integral})
-    return int(nearest)
 
 
 @dataclass(frozen=True)

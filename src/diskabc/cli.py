@@ -39,8 +39,8 @@ from .abc_verifier import (build_system, gapped_monomial_family,
                            monomial_family, verify)
 from .blaschke import DiskDomain, UNIT_DISK
 from .dalpha import TruncationSchedule, truncation_study, verify_theorem_41
-from .errors import (DiskAbcError, DomainViolation, HypothesisFailure,
-                     InputError, NumericalFailure)
+from .errors import (DomainViolation, HypothesisFailure, InputError,
+                     NumericalFailure)
 from .mason_stothers import limit_R_study, verify_theorem_A, verify_theorem_B
 from .polycore import PolyC, PolyQ
 

@@ -21,7 +21,7 @@ while unit-circle samples of a Blaschke product are perfectly conditioned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,16 +54,7 @@ class DalphaReport:
     mu: float
     ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "n": self.n,
-            "norm_B_lcm_sq": self.norm_B_lcm_sq,
-            "norm_B_rad_sq": self.norm_B_rad_sq,
-            "lambda_alpha": self.lambda_alpha,
-            "mu": self.mu,
-            "ratio": self.ratio,
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -88,9 +79,7 @@ class TruncationRow:
     blaschke_sum: float
     norm_sq: float
 
-    def to_dict(self) -> dict:
-        return {"K": self.K, "criterion_sum": self.criterion_sum,
-                "blaschke_sum": self.blaschke_sum, "norm_sq": self.norm_sq}
+    to_dict = asdict
 
 
 ZERO_RULES = {

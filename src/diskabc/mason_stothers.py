@@ -14,7 +14,7 @@ unit-mass boundary mean), so kappa -> deg W and mu -> 1 as R grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .abc_verifier import lambda_mu_kappa
 from .blaschke import DiskDomain
@@ -41,20 +41,7 @@ class MasonReport:
     independence_ok: bool
     relaxed: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n": self.n,
-            "degrees": list(self.degrees),
-            "max_degree": self.max_degree,
-            "n_distinct": self.n_distinct,
-            "bound": self.bound,
-            "holds": self.holds,
-            "coprimality_ok": self.coprimality_ok,
-            "disjointness_ok": self.disjointness_ok,
-            "independence_ok": self.independence_ok,
-            "relaxed": self.relaxed,
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -66,17 +53,9 @@ class LimitStudy:
     mu_values: tuple
     kappa_limit_expected: int
     mu_limit_expected: int = 1
-    skipped_radii: tuple = field(default=())
+    skipped_radii: tuple = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "radii": list(self.radii),
-            "kappa_values": list(self.kappa_values),
-            "mu_values": list(self.mu_values),
-            "kappa_limit_expected": self.kappa_limit_expected,
-            "mu_limit_expected": self.mu_limit_expected,
-            "skipped_radii": list(self.skipped_radii),
-        }
+    to_dict = asdict
 
     def csv_rows(self):
         yield ("R", "kappa", "mu")
@@ -180,18 +159,6 @@ def wronskian_degree_bound_check(ps) -> bool:
     return w.degree <= sum(p.degree for p in ps) - n * (n + 1) // 2
 
 
-def kappa_mu_at_radius(w, radius: float):
-    """kappa and mu of w on the circle |z| = radius: those of
-    :func:`lambda_mu_kappa` on the disk of that radius about 0.
-
-    kappa is ``(1/2 pi) \\oint |w'| |dz|`` divided by min |w| on the circle;
-    mu is max |w| over min |w|.  A constant w gives (0, 1) exactly.
-    """
-    wc = w.to_polyc() if isinstance(w, PolyQ) else w
-    _, mu, kappa = lambda_mu_kappa(wc, DiskDomain(0j, radius))
-    return kappa, mu
-
-
 def limit_R_study(ps, radii) -> LimitStudy:
     """Evaluate kappa and mu of the exact Wronskian of ``ps`` on each circle.
 
@@ -223,7 +190,7 @@ def limit_R_study(ps, radii) -> LimitStudy:
         if any(abs(m - r) < _RADIUS_SKIP_REL * r for m in w_moduli):
             skipped.append(r)
             continue
-        kap, mu = kappa_mu_at_radius(wc, r)
+        _, mu, kap = lambda_mu_kappa(wc, DiskDomain(0j, r))
         kept.append(r)
         kappas.append(kap)
         mus.append(mu)

@@ -114,15 +114,9 @@ class GaussianRational:
             (self.im * o.re - self.re * o.im) / d,
         )
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -361,9 +355,6 @@ class PolyQ:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def to_polyc(self) -> PolyC:
         return PolyC(tuple(c.to_complex() for c in self.coeffs))
 
@@ -421,25 +412,22 @@ class ZeroList:
         """Number of zeros counted with multiplicity."""
         return sum(m for _, m in self.entries)
 
-    def locations(self) -> np.ndarray:
-        return np.asarray([a for a, _ in self.entries], dtype=complex)
-
-    def multiplicities(self) -> np.ndarray:
-        return np.asarray([m for _, m in self.entries], dtype=int)
-
     @classmethod
     def merged(cls, pairs) -> "ZeroList":
         """Merge locations within ``CLUSTER_TOL``, adding multiplicities."""
         pairs = [(complex(a), int(m)) for a, m in pairs]
-        if not pairs:
-            return cls()
-        groups = _cluster_indices([a for a, _ in pairs])
-        out = []
-        for idxs in groups:
-            mult = sum(pairs[i][1] for i in idxs)
-            loc = sum(pairs[i][0] * pairs[i][1] for i in idxs) / mult
-            out.append((loc, mult))
-        return cls(tuple(out))
+        return cls(tuple((loc, mult) for _, loc, mult in _clusters(pairs)))
+
+
+def _clusters(pairs):
+    """Groups of ``(location, multiplicity)`` pairs within ``CLUSTER_TOL``,
+    each as ``(indices, location, multiplicity)``: the location is the
+    multiplicity-weighted mean, the multiplicity the sum."""
+    out = []
+    for idxs in _cluster_indices([a for a, _ in pairs]):
+        mult = sum(pairs[i][1] for i in idxs)
+        out.append((idxs, sum(pairs[i][0] * pairs[i][1] for i in idxs) / mult, mult))
+    return out
 
 
 def _cluster_indices(locs):
@@ -484,20 +472,6 @@ def wronskian(fs):
     for _ in range(len(fs) - 1):
         rows.append([p.derivative() for p in rows[-1]])
     return _determinant(rows)
-
-
-def wronskian_derivative(fs):
-    """Derivative of the Wronskian, as the determinant with the last row
-    replaced by the (n+1)-st derivatives.  Identical to
-    ``wronskian(fs).derivative()`` as a polynomial."""
-    fs = list(fs)
-    if not fs:
-        raise ValueError("wronskian of an empty function list")
-    n = len(fs) - 1
-    rows = [fs]
-    for _ in range(n + 1):
-        rows.append([p.derivative() for p in rows[-1]])
-    return _determinant(rows[:n] + [rows[n + 1]])
 
 
 def _determinant(m):

@@ -78,14 +78,6 @@ def _gauss_jacobi(n: int, gamma: float):
     return x, w
 
 
-def _derivative_fn(f):
-    if hasattr(f, "derivative_eval"):
-        return f.derivative_eval
-    if hasattr(f, "derivative"):
-        return f.derivative()
-    raise TypeError(f"no derivative evaluation available for {type(f).__name__}")
-
-
 def boundary_integral(g, domain) -> float:
     """``(1/2 pi) \\oint g ds`` over the domain boundary.
 
@@ -269,8 +261,7 @@ def dirichlet_norm_area(f, domain) -> float:
         n = max(len(f.coeffs), 1)
         b = np.fft.fft(f(domain.boundary_points(n))) / n
         return float(np.sum(np.arange(n) * np.abs(b) ** 2))
-    fp = _derivative_fn(f)
-    return disk_area_mean(lambda z: np.abs(fp(z)) ** 2, domain)
+    return disk_area_mean(lambda z: np.abs(f.derivative_eval(z)) ** 2, domain)
 
 
 def dalpha_norm_coeff(f, alpha: float) -> float:
@@ -285,12 +276,3 @@ def dalpha_norm_coeff(f, alpha: float) -> float:
         if k >= 1:
             total += k ** alpha * abs(c) ** 2
     return total
-
-
-def dalpha_norm_area(f, alpha: float) -> float:
-    """``(1/pi) \\iint_D |f'|^2 (1-|z|)^{1-alpha} dA``; at alpha = 1 this is
-    exactly the Dirichlet integral."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    fp = _derivative_fn(f)
-    return unit_disk_weighted_mean(lambda z: np.abs(fp(z)) ** 2, 1.0 - alpha)

@@ -38,6 +38,15 @@ class TestBuildSystem:
             build_system([PolyC((1,)), PolyC((0, 1))], UNIT_DISK)
         assert err.value.reason == "boundary_zero"
 
+    @pytest.mark.parametrize("a, counts", [(1 - 1e-4, (2, 2)), (1 + 1e-4, (1, 1))])
+    def test_zero_near_circle_is_admitted(self, a, counts):
+        # a zero 1e-4 inside or outside the circle is not a boundary zero:
+        # z - a and 1 (W = -1, sum zero at a - 1) certify with equality
+        cert = verify(build_system([PolyC((-a, 1)), PolyC((1,))], UNIT_DISK))
+        assert (cert.N_lcm, cert.N_rad) == counts
+        assert cert.pass_21 and cert.pass_22
+        assert cert.hypothesis_ok and cert.divisibility_ok
+
     def test_shrunk_domain_admits(self):
         system = build_system([PolyC((1,)), PolyC((0, 1))], DiskDomain(0, 0.9))
         assert system.B_lcm.zeros == ZeroList(((0, 1),))
@@ -81,6 +90,14 @@ class TestLambdaMuKappa:
 
 
 class TestDivisibility:
+    @pytest.mark.parametrize("b", [5e-3, 1e-3])
+    def test_nearby_zero_of_w_adds_no_order(self, b):
+        # the gapped family (2, 5) has an LCM zero of order 5 at 0; with
+        # W = z^2 (z - b) in place of its c z^3, ord_0 W = 2 and 2 + n = 4
+        # falls short: the zero of W at b must not count at 0
+        system = build_system(gapped_monomial_family(2, 5), UNIT_DISK)
+        assert not check_divisibility(replace(system, W=PolyC.from_roots([0, 0, b])))
+
     def test_equality_families(self):
         assert check_divisibility(build_system(monomial_family(2), UNIT_DISK))
         assert check_divisibility(
@@ -104,10 +121,10 @@ class TestDivisibility:
         assert check_divisibility(system)
 
     def test_chain_cluster_counts_radical_order(self):
-        # a union-find chain of zeros 0.99e-6 apart is one LCM zero and one
-        # radical zero, but their centroids (plain and multiplicity-weighted
-        # means) lie more than CLUSTER_TOL apart; the radical still has
-        # order 1 there, so ord(W) = 7 plus n = 1 reaches the LCM's 8
+        # a union-find chain of zeros 0.99e-6 apart, wider than CLUSTER_TOL
+        # end to end, is one LCM zero and one radical zero at the same point
+        # (the multiplicity-weighted mean); the radical has order 1 there,
+        # so ord(W) = 7 plus n = 1 reaches the LCM's 8
         locs = [0.3 + 0.99e-6 * i for i in range(5)]
         bs = [from_zeros(UNIT_DISK, [(a, 8 if i == 4 else 1)])
               for i, a in enumerate(locs)]
@@ -115,7 +132,8 @@ class TestDivisibility:
         b_rad = bl.radical(bl.product(bs))
         (a_lcm, k), = b_lcm.zeros
         (a_rad, _), = b_rad.zeros
-        assert k == 8 and abs(a_lcm - a_rad) > CLUSTER_TOL
+        assert abs(locs[-1] - locs[0]) > CLUSTER_TOL
+        assert k == 8 and a_lcm == a_rad
         fs = (PolyC((1,)), PolyC((0, 1)))
         system = AbcSystem(UNIT_DISK, fs, fs[0] + fs[1], tuple(bs), b_lcm,
                            b_rad, PolyC.from_roots([a_lcm] * 7))

@@ -16,7 +16,7 @@ import pytest
 
 from diskabc import (AnalyticProduct, DiskDomain, PolyC, PolyQ,
                      TruncationSchedule, UNIT_DISK, blaschke_norm_sq,
-                     boundary_integral, build_system, dalpha_norm_area,
+                     boundary_integral, build_system,
                      dalpha_norm_coeff, dirichlet_norm_area,
                      division_monotonicity_check, from_zeros, limit_R_study,
                      r_alpha, r_alpha_area, verify, verify_theorem_41,
@@ -26,6 +26,7 @@ from diskabc.abc_verifier import gapped_monomial_family, monomial_family
 from diskabc.families import (random_admissible_system, random_blaschke,
                               random_coeff_polyc, random_coprime_triple,
                               random_independent_tuple)
+from references import dalpha_norm_area
 
 from fractions import Fraction
 

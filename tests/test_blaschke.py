@@ -5,12 +5,37 @@ import pytest
 
 from diskabc import (BlaschkeProduct, DiskDomain, DomainViolation,
                      NumericalFailure, PolyC, UNIT_DISK, ZeroList,
-                     boundary_integral, count_zeros_argument_principle,
-                     from_zeros, lcm, product, radical,
+                     boundary_integral, from_zeros, lcm, product, radical,
                      roots_with_multiplicity)
 from diskabc.families import random_blaschke
 
 DISK2 = DiskDomain(1 + 0.5j, 2.0)
+
+
+def count_zeros_argument_principle(f: PolyC, domain: DiskDomain) -> int:
+    """Zero count of ``f`` in the domain by the argument principle: a
+    counting route independent of root finding.
+
+    Trapezoidal rule on 4096 points for ``(1/2 pi i) \\oint f'/f dz`` on the
+    circle; the result must land within 0.1 of an integer, otherwise a zero
+    is probably sitting on the boundary and a numerical failure is raised.
+    """
+    z = domain.boundary_points(4096)
+    fp = f.derivative()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = fp(z) / f(z) * (z - domain.center)
+    integral = complex(np.mean(vals))
+    if not (np.isfinite(integral.real) and np.isfinite(integral.imag)):
+        raise NumericalFailure(
+            "argument-principle integrand is singular on the sample grid "
+            "(zero on the boundary)", {"integral": integral})
+    nearest = round(integral.real)
+    if abs(integral - nearest) > 0.1:
+        raise NumericalFailure(
+            "argument-principle integral is not close to an integer "
+            "(possible zero on the boundary)",
+            {"integral": integral})
+    return int(nearest)
 
 
 class TestConstruction:
@@ -36,8 +61,8 @@ class TestConstruction:
             from_zeros(UNIT_DISK, [(1.5, 1)])
 
     def test_serialization_roundtrip(self):
-        b = from_zeros(DISK2, [(1.2 + 0.1j, 2), (0.5, 1)])
-        assert BlaschkeProduct.from_dict(b.to_dict()) == b
+        # the domain is what the CLI reads and writes
+        assert DiskDomain.from_dict(DISK2.to_dict()) == DISK2
 
 
 class TestEval:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diskabc import (DiskDomain, HypothesisFailure, LinearDependence, PolyQ,
-                     build_system, kappa_mu_at_radius, limit_R_study, verify,
+                     build_system, lambda_mu_kappa, limit_R_study, verify,
                      verify_theorem_A, verify_theorem_B,
                      wronskian_degree_bound_check)
 from diskabc.families import (random_coprime_triple, random_independent_tuple,
@@ -177,11 +177,12 @@ class TestLimitStudy:
         assert kerr[-1] < 0.01 and merr[-1] < 0.01
 
     def test_constant_wronskian(self):
-        assert kappa_mu_at_radius(q(5), 17.0) == (0.0, 1.0)
+        _, mu, kap = lambda_mu_kappa(q(5).to_polyc(), DiskDomain(0j, 17.0))
+        assert (kap, mu) == (0.0, 1.0)
 
     def test_monomial_exact_at_all_radii(self):
         for r in (10.0, 100.0):
-            kap, mu = kappa_mu_at_radius(q(0, 1), r)
+            _, mu, kap = lambda_mu_kappa(q(0, 1).to_polyc(), DiskDomain(0j, r))
             assert kap == pytest.approx(1.0, abs=1e-12)
             assert mu == pytest.approx(1.0, abs=1e-12)
 
@@ -193,6 +194,15 @@ class TestLimitStudy:
         study = limit_R_study(ps, [3.000001, 30.0])
         assert study.skipped_radii == (3.000001,)
         assert study.radii == (30.0,)
+
+    def test_radius_skip_is_relative_and_tight(self):
+        # W(1 + z, z^2) = z (z + 2): a circle 1e-8 (relative) outside the
+        # zero at -2 is skipped, circles of radius 3.5 and 10 are kept
+        ps = [q(1, 1), q(0, 0, 1)]
+        assert wronskian(ps) == q(0, 2, 1)
+        study = limit_R_study(ps, [2.00000002, 3.5, 10.0])
+        assert study.skipped_radii == (2.00000002,)
+        assert study.radii == (3.5, 10.0)
 
     def test_radii_validation(self):
         ps = [q(1), q(0, 0, Fraction(1, 2), 0, Fraction(1, 4))]

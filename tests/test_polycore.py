@@ -8,9 +8,9 @@ import pytest
 
 from diskabc import (GaussianRational, NumericalFailure, PolyC, PolyQ,
                      ZeroList, aberth_roots, gcd_exact,
-                     roots_with_multiplicity, squarefree_part, wronskian,
-                     wronskian_derivative)
+                     roots_with_multiplicity, squarefree_part, wronskian)
 from diskabc.families import random_polyq
+from diskabc.polycore import _determinant
 
 
 def q(*coeffs):
@@ -32,6 +32,17 @@ def ref_determinant(m, mul=operator.mul):
             term = -term
         acc = term if acc is None else acc + term
     return acc
+
+
+def wronskian_derivative(fs):
+    """Derivative of the Wronskian by a second determinant: the Wronskian
+    matrix with its last row replaced by the (n+1)-st derivatives.
+    Identical to ``wronskian(fs).derivative()`` as a polynomial."""
+    n = len(fs) - 1
+    rows = [list(fs)]
+    for _ in range(n + 1):
+        rows.append([p.derivative() for p in rows[-1]])
+    return _determinant(rows[:n] + [rows[n + 1]])
 
 
 def ref_wronskian(fs):
