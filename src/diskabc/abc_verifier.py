@@ -1,8 +1,9 @@
 """Certificate pipeline for the zero-count inequalities on a disk.
 
 Given analytic inputs f_0..f_n (polynomials here) and a disk, this module
-builds the sum f_{n+1}, the Blaschke products of all n+2 functions, their
-LCM and the radical of their product, computes the norm quotients
+builds the sum f_{n+1} and one zero table of all n+2 functions' interior
+zeros (one row per point, each function's multiplicity there: the LCM
+takes the row maxima, the radical one per row), computes the norm quotients
 
     lambda = ||W'||_{L^2(domain)} * ||1/W||_{L^inf(boundary)}
     mu     = ||W||_{L^inf(boundary)} * ||1/W||_{L^inf(boundary)}
@@ -19,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import blaschke as bl
-from .blaschke import BlaschkeProduct, DiskDomain
+from .blaschke import BlaschkeProduct, DiskDomain, from_zeros
 from .errors import HypothesisFailure, LinearDependence
-from .polycore import PolyC, ZeroList, roots_with_multiplicity, wronskian
+from .polycore import (PolyC, residual_scale, roots_with_multiplicity, wronskian,
+                       zero_table)
 from .quadrature import boundary_extrema, boundary_integral, dirichlet_norm_area
 
 #: A zero this close to the boundary circle invalidates the hypotheses.
@@ -44,14 +46,20 @@ class AbcSystem:
     domain: DiskDomain
     fs: tuple            # f_0..f_n
     f_sum: PolyC         # f_{n+1}
-    Bs: tuple            # Blaschke products of f_0..f_{n+1}
-    B_lcm: BlaschkeProduct
-    B_rad: BlaschkeProduct
     W: PolyC
+    zeros: tuple         # zero_table rows of f_0..f_{n+1} inside the domain
 
     @property
     def n(self) -> int:
         return len(self.fs) - 1
+
+    @cached_property
+    def B_lcm(self) -> BlaschkeProduct:
+        return from_zeros(self.domain, [(a, max(ms)) for a, ms in self.zeros])
+
+    @cached_property
+    def B_rad(self) -> BlaschkeProduct:
+        return from_zeros(self.domain, [(a, 1) for a, _ in self.zeros])
 
 
 @dataclass(frozen=True)
@@ -86,7 +94,7 @@ class AbcCertificate:
 
 
 def build_system(fs, domain: DiskDomain) -> AbcSystem:
-    """Root-find every f_j (and their sum), build the Blaschke data and W.
+    """Root-find every f_j (and their sum), build the zero table and W.
 
     Raises a hypothesis failure if any function has a zero within
     ``BOUNDARY_ZERO_TOL`` of the boundary circle, and a linear-dependence
@@ -104,7 +112,7 @@ def build_system(fs, domain: DiskDomain) -> AbcSystem:
     if f_sum.is_zero:
         raise HypothesisFailure("zero_sum", "the sum f_0 + ... + f_n is identically zero")
 
-    products = []
+    zero_lists = []
     for f in fs + (f_sum,):
         interior = []
         for a, m in roots_with_multiplicity(f):
@@ -114,20 +122,12 @@ def build_system(fs, domain: DiskDomain) -> AbcSystem:
                     f"zero at {a} lies within {BOUNDARY_ZERO_TOL} of the boundary")
             if domain.contains(a):
                 interior.append((a, m))
-        products.append(BlaschkeProduct(domain, ZeroList(tuple(interior))))
+        zero_lists.append(interior)
 
     w = wronskian(fs)
     if w.is_zero:
         raise LinearDependence()
-    return AbcSystem(
-        domain=domain,
-        fs=fs,
-        f_sum=f_sum,
-        Bs=tuple(products),
-        B_lcm=bl.lcm(products),
-        B_rad=bl.radical(bl.product(products)),
-        W=w,
-    )
+    return AbcSystem(domain, fs, f_sum, w, zero_table(zero_lists))
 
 
 def lambda_mu_kappa(w: PolyC, domain: DiskDomain):
@@ -157,9 +157,7 @@ def _order_at(p: PolyC, z0: complex) -> int:
     order = 0
     q = p
     while not q.is_zero:
-        mags = np.abs(np.asarray(q.coeffs))
-        scale = float(np.sum(mags * np.maximum(1.0, abs(z0)) ** np.arange(len(mags))))
-        if abs(q(z0)) > _ORDER_RESIDUAL_REL * scale:
+        if abs(q(z0)) > _ORDER_RESIDUAL_REL * residual_scale(q, z0):
             break
         q = q.deflate(z0)
         order += 1
@@ -167,21 +165,18 @@ def _order_at(p: PolyC, z0: complex) -> int:
 
 
 def check_divisibility(system: AbcSystem) -> bool:
-    """True iff at every zero of the LCM product with multiplicity k the
-    order of W plus n times the order of the radical reaches k.
-
-    The LCM and the radical of the product cluster the same list of zero
-    locations, so every LCM zero is a zero of the radical, of order 1.
-    """
+    """True iff at every row of the zero table the order of W plus n times
+    the order of the radical (1 at every row) reaches the LCM multiplicity,
+    the row's largest entry."""
     n = system.n
-    return all(_order_at(system.W, a) + n >= k for a, k in system.B_lcm.zeros)
+    return all(_order_at(system.W, a) + n >= max(ms) for a, ms in system.zeros)
 
 
 def verify(system: AbcSystem) -> AbcCertificate:
     """Evaluate both inequalities and assemble the certificate."""
     n = system.n
-    n_lcm = system.B_lcm.n_zeros
-    n_rad = system.B_rad.n_zeros
+    n_lcm = sum(max(ms) for _, ms in system.zeros)
+    n_rad = len(system.zeros)
     div_ok = check_divisibility(system)
     try:
         lam, mu, kap = lambda_mu_kappa(system.W, system.domain)

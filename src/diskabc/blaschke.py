@@ -4,8 +4,8 @@ A disk domain carries the explicit conformal map ``phi(z) = (z - z0)/R``
 onto the unit disk, so no numerical Riemann mapping is ever needed.  A
 Blaschke product is stored as its domain plus the list of distinct zeros
 with multiplicities; evaluation, analytic differentiation, the boundary
-derivative modulus (a sum of Poisson-kernel terms) and the LCM / radical /
-product combinators live here.
+derivative modulus (a sum of Poisson-kernel terms), the radical and the LCM /
+product combinators (max / sum views of one ``zero_table``) live here.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainViolation
-from .polycore import PolyC, ZeroList, _clusters
+from .polycore import ZeroList, zero_table
 
 #: Zeros must satisfy |phi(zero)| < 1 - INTERIOR_MARGIN.
 INTERIOR_MARGIN = 1e-12
@@ -48,6 +48,8 @@ class DiskDomain:
         object.__setattr__(self, "radius", float(self.radius))
         if not (self.radius > 0 and np.isfinite(self.radius)):
             raise ValueError("disk radius must be positive and finite")
+        if not np.isfinite(self.center):
+            raise ValueError("disk centre must be finite")
 
     def phi(self, z):
         return (z - self.center) / self.radius
@@ -173,50 +175,24 @@ def _check_same_domain(bs):
     return dom
 
 
-def lcm(bs) -> BlaschkeProduct:
-    """Least common multiple: union of zero sets, pointwise maximum multiplicity.
-
-    Locations from different factors are merged when within the clustering
-    tolerance, at the same point as in :func:`product`; a factor's
-    multiplicity at a merged point is the sum of its own entries that fell
-    into the cluster.
-    """
+def _combine(bs, reduce) -> BlaschkeProduct:
     bs = list(bs)
     dom = _check_same_domain(bs)
-    pairs = [(a, m) for b in bs for a, m in b.zeros]
-    source = [i for i, b in enumerate(bs) for _ in b.zeros]
-    entries = []
-    for idxs, loc, _ in _clusters(pairs):
-        per_input = {}
-        for i in idxs:
-            per_input[source[i]] = per_input.get(source[i], 0) + pairs[i][1]
-        entries.append((loc, max(per_input.values())))
-    return BlaschkeProduct(dom, ZeroList(tuple(entries)))
+    rows = zero_table([b.zeros for b in bs])
+    return BlaschkeProduct(dom, ZeroList(tuple((loc, reduce(ms)) for loc, ms in rows)))
+
+
+def lcm(bs) -> BlaschkeProduct:
+    """Least common multiple: union of zero sets, pointwise maximum
+    multiplicity (of each factor's summed entries at a merged point)."""
+    return _combine(bs, max)
 
 
 def product(bs) -> BlaschkeProduct:
     """Pointwise product: multiplicities add at merged locations."""
-    bs = list(bs)
-    dom = _check_same_domain(bs)
-    pairs = [(a, m) for b in bs for a, m in b.zeros]
-    return BlaschkeProduct(dom, ZeroList.merged(pairs))
+    return _combine(bs, sum)
 
 
 def radical(b: BlaschkeProduct) -> BlaschkeProduct:
     """Same zero locations, every multiplicity reset to 1."""
     return BlaschkeProduct(b.domain, ZeroList(tuple((a, 1) for a, _ in b.zeros)))
-
-
-@dataclass(frozen=True)
-class AnalyticProduct:
-    """Product ``poly * blaschke`` with analytic derivative evaluation."""
-
-    poly: PolyC
-    blaschke: BlaschkeProduct
-
-    def __call__(self, z):
-        return self.poly(z) * self.blaschke(z)
-
-    def derivative_eval(self, z):
-        return (self.poly.derivative()(z) * self.blaschke(z)
-                + self.poly(z) * self.blaschke.derivative_eval(z))

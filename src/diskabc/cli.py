@@ -8,7 +8,8 @@ outcome in the exit code:
     1  a verified inequality failed (theorem-violation alarm)
     2  hypothesis failure
     3  numerical failure
-    4  input error: unreadable problem file, bad field, or bad
+    4  input error: unreadable problem file, bad field (a non-finite
+       number, or a non-integer where an integer is required), or bad
        command-line arguments
 
 Problem file fields (mode-dependent):
@@ -31,6 +32,7 @@ problem file with a ``quadrature`` field is an input error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -71,6 +73,17 @@ def _require(problem, key):
     return problem[key]
 
 
+def _integers(data):
+    """``data`` if it is a JSON integer or a nested list of them; a float,
+    string or boolean is refused instead of being truncated."""
+    if isinstance(data, list):
+        for x in data:
+            _integers(x)
+    elif isinstance(data, bool) or not isinstance(data, int):
+        raise TypeError(f"expected a JSON integer, got {data!r}")
+    return data
+
+
 def _parse_polyc_list(data):
     try:
         polys = [PolyC.from_data(d) for d in data]
@@ -78,12 +91,14 @@ def _parse_polyc_list(data):
         raise InputError(f"bad complex polynomial data: {exc}") from exc
     if not polys:
         raise InputError("polynomial list is empty")
+    if not all(cmath.isfinite(c) for p in polys for c in p.coeffs):
+        raise InputError("polynomial coefficients must be finite")
     return polys
 
 
 def _parse_polyq_list(data):
     try:
-        polys = [PolyQ.from_data(d) for d in data]
+        polys = [PolyQ.from_data(_integers(d)) for d in data]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational polynomial data: {exc}") from exc
     if not polys:
@@ -135,12 +150,12 @@ def _dispatch(problem, args):
             fs = _parse_polyc_list(_require(problem, "polynomials"))
             domain = _parse_domain(problem)
         elif mode == "example1":
-            fs = monomial_family(int(_require(problem, "n")),
+            fs = monomial_family(_integers(_require(problem, "n")),
                                  float(problem.get("eps", 0.1)))
             domain = UNIT_DISK
         else:
-            fs = gapped_monomial_family(int(_require(problem, "n")),
-                                        int(_require(problem, "m")),
+            fs = gapped_monomial_family(_integers(_require(problem, "n")),
+                                        _integers(_require(problem, "m")),
                                         float(problem.get("eps", 0.1)))
             domain = UNIT_DISK
         cert = verify(build_system(fs, domain))
@@ -181,7 +196,7 @@ def _dispatch(problem, args):
         return {"report": report.to_dict(), "status": "pass"}, EXIT_PASS
 
     # truncation
-    levels = tuple(int(k) for k in _require(problem, "levels"))
+    levels = tuple(_integers(_require(problem, "levels")))
     schedule = TruncationSchedule(_require(problem, "rule"), levels)
     try:
         rows = truncation_study(schedule, _alpha(problem, args))
@@ -207,9 +222,7 @@ def run(problem: dict, args) -> tuple[dict, int]:
         doc, code = {"status": "numerical_failure", "detail": str(exc),
                      "details": {k: repr(v) for k, v in exc.details.items()}}, \
             EXIT_NUMERICAL
-    except (InputError, DomainViolation) as exc:
-        doc, code = {"status": "input_error", "detail": str(exc)}, EXIT_INPUT
-    except (ValueError, KeyError, TypeError) as exc:
+    except (InputError, DomainViolation, ValueError, KeyError, TypeError) as exc:
         doc, code = {"status": "input_error", "detail": str(exc)}, EXIT_INPUT
     base.update(doc)
     return base, code

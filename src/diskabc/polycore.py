@@ -414,20 +414,25 @@ class ZeroList:
 
     @classmethod
     def merged(cls, pairs) -> "ZeroList":
-        """Merge locations within ``CLUSTER_TOL``, adding multiplicities."""
-        pairs = [(complex(a), int(m)) for a, m in pairs]
-        return cls(tuple((loc, mult) for _, loc, mult in _clusters(pairs)))
+        """Merge locations, adding multiplicities: one :func:`zero_table` column."""
+        return cls(tuple((loc, mult) for loc, (mult,) in zero_table([pairs])))
 
 
-def _clusters(pairs):
-    """Groups of ``(location, multiplicity)`` pairs within ``CLUSTER_TOL``,
-    each as ``(indices, location, multiplicity)``: the location is the
-    multiplicity-weighted mean, the multiplicity the sum."""
-    out = []
-    for idxs in _cluster_indices([a for a, _ in pairs]):
-        mult = sum(pairs[i][1] for i in idxs)
-        out.append((idxs, sum(pairs[i][0] * pairs[i][1] for i in idxs) / mult, mult))
-    return out
+def zero_table(zero_lists) -> tuple:
+    """One row ``(location, multiplicities)`` per point of a sequence of
+    ``(location, multiplicity)`` lists: locations within ``CLUSTER_TOL`` across
+    all lists are one point (chains merge) at their multiplicity-weighted mean,
+    and ``multiplicities[j]`` is list j's total there (0 where it has none)."""
+    pairs = [(complex(a), int(m), j)
+             for j, zeros in enumerate(zero_lists) for a, m in zeros]
+    rows = []
+    for idxs in _cluster_indices([a for a, _, _ in pairs]):
+        mults = [0] * len(zero_lists)
+        for i in idxs:
+            mults[pairs[i][2]] += pairs[i][1]
+        loc = sum(pairs[i][0] * pairs[i][1] for i in idxs) / sum(mults)
+        rows.append((loc, tuple(mults)))
+    return tuple(rows)
 
 
 def _cluster_indices(locs):
@@ -531,8 +536,8 @@ def roots_with_multiplicity(p: PolyC) -> ZeroList:
     Companion-matrix eigenvalues first, with an Aberth-Ehrlich retry when
     validation fails.  Exact zero low-order coefficients are stripped
     structurally, so monomial-type factors get an exact root at 0.  Roots
-    within ``CLUSTER_TOL`` are merged into one multiple zero and the cluster
-    centroid is polished by Newton iteration on the (k-1)-st derivative.
+    within ``CLUSTER_TOL`` form one multiple zero whose centroid is polished by
+    Newton iteration on the (k-1)-st derivative; all are merged once, at the end.
     Multiple roots of floating polynomials scatter at radius ~eps^(1/k), so
     that tolerance resolves multiplicity 2 reliably; beyond that,
     prefer structural constructions.
@@ -550,27 +555,24 @@ def roots_with_multiplicity(p: PolyC) -> ZeroList:
     q = PolyC(p.coeffs[k0:])
     entries = [(0j, k0)] if k0 else []
     if q.degree >= 1:
-        raw = np.roots(q._array[::-1])
-        zl = _cluster_refine(q, raw)
-        ok, info = _roots_ok(q, zl)
+        polished = _cluster_refine(q, np.roots(q._array[::-1]))
+        ok, info = _roots_ok(q, polished)
         if not ok:
-            raw = aberth_roots(q)
-            zl = _cluster_refine(q, raw)
-            ok, info = _roots_ok(q, zl)
+            polished = _cluster_refine(q, aberth_roots(q))
+            ok, info = _roots_ok(q, polished)
             if not ok:
                 raise NumericalFailure("root finding did not converge", info)
-        entries.extend(zl.entries)
+        entries.extend(polished)
     return ZeroList.merged(entries)
 
 
 def _cluster_refine(q, raw):
-    groups = _cluster_indices(list(raw))
     ent = []
-    for idxs in groups:
+    for idxs in _cluster_indices(list(raw)):
         m = len(idxs)
         x = complex(np.mean([raw[i] for i in idxs]))
         ent.append((_newton_refine(q, x, m), m))
-    return ZeroList.merged(ent)
+    return ent
 
 
 def _newton_refine(p, x, mult):
@@ -589,17 +591,21 @@ def _newton_refine(p, x, mult):
     return x
 
 
-def _roots_ok(p, zl):
+def residual_scale(p: PolyC, z: complex) -> float:
+    """``sum |c_k| max(1, |z|)^k``, the scale of a residual ``|p(z)|``."""
     mags = np.abs(p._array)
+    return float(np.sum(mags * np.maximum(1.0, abs(z)) ** np.arange(len(mags))))
+
+
+def _roots_ok(p, zeros):
     worst = 0.0
-    for a, _ in zl.entries:
-        scale = float(np.sum(mags * np.maximum(1.0, abs(a)) ** np.arange(len(mags))))
-        res = abs(p(a)) / scale
+    for a, _ in zeros:
+        res = abs(p(a)) / residual_scale(p, a)
         worst = max(worst, res)
         if res > _RESIDUAL_REL:
             return False, {"relative_residual": res, "location": a}
     if p.degree <= 12:
-        roots_flat = [a for a, m in zl.entries for _ in range(m)]
+        roots_flat = [a for a, m in zeros for _ in range(m)]
         recon = PolyC.from_roots(roots_flat)
         monic = p * (1.0 / p.coeffs[-1])
         err = max(abs(x - y) for x, y in zip(recon.coeffs, monic.coeffs))

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .abc_verifier import AbcSystem, build_system
-from .blaschke import (AnalyticProduct, BlaschkeProduct, DiskDomain, UNIT_DISK)
-from .errors import HypothesisFailure, NumericalFailure
-from .polycore import (CLUSTER_TOL, PolyC, PolyQ, ZeroList, gcd_exact,
-                       roots_with_multiplicity, wronskian)
+from diskabc.abc_verifier import AbcSystem, build_system
+from diskabc.blaschke import BlaschkeProduct, DiskDomain, UNIT_DISK
+from diskabc.errors import HypothesisFailure, NumericalFailure
+from diskabc.polycore import (CLUSTER_TOL, PolyC, PolyQ, ZeroList, gcd_exact,
+                              roots_with_multiplicity, wronskian)
+from references import AnalyticProduct
 
 _ROOT_RADIUS_FRAC = 0.8
 

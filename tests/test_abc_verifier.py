@@ -8,12 +8,13 @@ import pytest
 
 from diskabc import (CLUSTER_TOL, AbcSystem, DiskDomain, HypothesisFailure,
                      LinearDependence, PolyC, UNIT_DISK, ZeroList, build_system,
-                     check_divisibility, from_zeros, lambda_mu_kappa, verify)
+                     check_divisibility, from_zeros, lambda_mu_kappa,
+                     roots_with_multiplicity, verify, zero_table)
 from diskabc import blaschke as bl
 from diskabc.abc_verifier import gapped_monomial_family, monomial_family
-from diskabc.families import random_admissible_system
+from families import random_admissible_system
 from diskabc.polycore import PolyQ, wronskian
-from diskabc.families import random_polyq
+from families import random_polyq
 
 
 class TestBuildSystem:
@@ -23,7 +24,7 @@ class TestBuildSystem:
         assert system.B_rad.zeros == ZeroList(((0, 1),))
         assert system.W.degree == 0
         assert system.W.coeffs[0] == pytest.approx(0.01, rel=1e-14)
-        assert system.Bs[0].n_zeros == 0 and system.Bs[-1].n_zeros == 0
+        assert all(ms[0] == 0 and ms[-1] == 0 for _, ms in system.zeros)
 
     def test_gapped_family(self):
         system = build_system(gapped_monomial_family(2, 5, 0.1), UNIT_DISK)
@@ -31,6 +32,26 @@ class TestBuildSystem:
         assert system.B_rad.zeros == ZeroList(((0, 1),))
         assert system.W.degree == 3
         assert system.W.coeffs[3] == pytest.approx(0.01 / 6, rel=1e-13)
+
+    @pytest.mark.parametrize("radius", [1.0, 0.5])
+    def test_zero_table_rows(self, radius):
+        # f_0 = (z-a)^2 (z-b) and f_1 = (z-a) g with the linear
+        # g = (z-c)(z-d) - (z-a)(z-b), whose zero is e, so the sum is
+        # (z-a)(z-c)(z-d); d lies outside the disk of radius 0.5
+        a, b, c, d = 0.4, 0.2 + 0.3j, -0.4, -0.5 - 0.3j
+        e = (a * b - c * d) / (a + b - c - d)
+        g = PolyC.from_roots([c, d]) - PolyC.from_roots([a, b])
+        fs = [PolyC.from_roots([a, a, b]), PolyC.from_roots([a]) * g]
+        system = build_system(fs, DiskDomain(0, radius))
+        expected = {a: (2, 1, 1), b: (1, 0, 0), e: (0, 1, 0), c: (0, 0, 1),
+                    d: (0, 0, 1)}
+        expected = {z: ms for z, ms in expected.items() if abs(z) < radius}
+        assert len(system.zeros) == len(expected)
+        for z, ms in expected.items():
+            (row,) = [r for r in system.zeros if abs(r[0] - z) < 1e-9]
+            assert row[1] == ms
+        cert = verify(system)
+        assert (cert.N_lcm, cert.N_rad) == (len(expected) + 1, len(expected))
 
     def test_boundary_zero_hypothesis(self):
         # the sum 1 + z vanishes at -1 on the unit circle
@@ -105,9 +126,7 @@ class TestDivisibility:
 
     def test_inflated_multiplicity_fails(self):
         system = build_system(monomial_family(2), UNIT_DISK)
-        mutated = replace(
-            system,
-            B_lcm=from_zeros(UNIT_DISK, [(0, system.B_lcm.n_zeros + 1)]))
+        mutated = replace(system, zeros=((0j, (system.B_lcm.n_zeros + 1,)),))
         assert check_divisibility(system)
         assert not check_divisibility(mutated)
 
@@ -135,8 +154,9 @@ class TestDivisibility:
         assert abs(locs[-1] - locs[0]) > CLUSTER_TOL
         assert k == 8 and a_lcm == a_rad
         fs = (PolyC((1,)), PolyC((0, 1)))
-        system = AbcSystem(UNIT_DISK, fs, fs[0] + fs[1], tuple(bs), b_lcm,
-                           b_rad, PolyC.from_roots([a_lcm] * 7))
+        system = AbcSystem(UNIT_DISK, fs, fs[0] + fs[1],
+                           PolyC.from_roots([a_lcm] * 7),
+                           zero_table([b.zeros for b in bs]))
         assert check_divisibility(system)
         lower = replace(system, W=PolyC.from_roots([a_lcm] * 6))
         assert not check_divisibility(lower)
@@ -222,8 +242,7 @@ class TestVerify:
         # disjoint zeros: N(LCM) is the total count, N(rad) the distinct count
         fs = [PolyC.from_roots([0.5]), PolyC.from_roots([-0.5, -0.5], lead=0.1)]
         system = build_system(fs, UNIT_DISK)
-        per_fn = []
-        for f, b in zip(list(system.fs) + [system.f_sum], system.Bs):
-            per_fn.append(b)
-        assert system.B_lcm.n_zeros == sum(b.n_zeros for b in per_fn)
-        assert system.B_rad.n_zeros == sum(b.n_distinct for b in per_fn)
+        per_fn = [[m for a, m in roots_with_multiplicity(f) if UNIT_DISK.contains(a)]
+                  for f in list(system.fs) + [system.f_sum]]
+        assert system.B_lcm.n_zeros == sum(sum(ms) for ms in per_fn)
+        assert system.B_rad.n_zeros == sum(len(ms) for ms in per_fn)

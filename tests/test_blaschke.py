@@ -6,8 +6,8 @@ import pytest
 from diskabc import (BlaschkeProduct, DiskDomain, DomainViolation,
                      NumericalFailure, PolyC, UNIT_DISK, ZeroList,
                      boundary_integral, from_zeros, lcm, product, radical,
-                     roots_with_multiplicity)
-from diskabc.families import random_blaschke
+                     roots_with_multiplicity, zero_table)
+from families import random_blaschke
 
 DISK2 = DiskDomain(1 + 0.5j, 2.0)
 
@@ -179,6 +179,16 @@ class TestCombinators:
         assert product([from_zeros(UNIT_DISK, [(0.5, 1)]),
                         from_zeros(UNIT_DISK, [(0.2, 1)])]).zeros == \
             ZeroList(((0.5, 1), (0.2, 1)))
+
+    def test_lcm_and_product_are_table_views(self):
+        # factors that share a point up to 1e-9 and own separate points
+        bs = [from_zeros(UNIT_DISK, [(0.5, 2), (0.1j, 1)]),
+              from_zeros(UNIT_DISK, [(0.5 + 1e-9, 3), (-0.4, 1)]),
+              from_zeros(UNIT_DISK, [(0.1j, 2)])]
+        rows = zero_table([b.zeros for b in bs])
+        assert sorted(ms for _, ms in rows) == [(0, 1, 0), (1, 0, 2), (2, 3, 0)]
+        assert lcm(bs).zeros == ZeroList(tuple((a, max(ms)) for a, ms in rows))
+        assert product(bs).zeros == ZeroList(tuple((a, sum(ms)) for a, ms in rows))
 
     def test_count_inequalities(self):
         rng = np.random.default_rng(14)

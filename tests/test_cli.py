@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, exit codes, serialization, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -173,6 +174,38 @@ class TestErrors:
             assert code == 4
             assert doc["status"] == "input_error"
             assert "quadrature" in doc["detail"]
+
+    @pytest.mark.parametrize("problem", [
+        pytest.param({"mode": "abc",
+                      "polynomials": [[[1.0, 0.0]], [[0.0, 0.0], [math.inf, 0.0]]]},
+                     id="abc_infinite_coefficient"),
+        pytest.param(dict(PROBLEMS["abc"],
+                          domain={"center": [math.inf, 0.0], "radius": 0.9}),
+                     id="abc_infinite_centre"),
+        pytest.param(dict(PROBLEMS["abc"],
+                          domain={"center": [0.0, math.nan], "radius": 0.9}),
+                     id="abc_nan_centre"),
+        pytest.param({"mode": "mason_a", "polynomials": [
+            [[[math.inf, 1], [0, 1]], [[1, 1], [0, 1]]],
+            [[[1, 1], [0, 1]]], [[[0, 1], [0, 1]], [[2, 1], [0, 1]]]]},
+                     id="mason_a_infinite_numerator"),
+        pytest.param({"mode": "limit_r", "polynomials": [
+            [[[1.5, 1], [0, 1]]], PROBLEMS["limit_r"]["polynomials"][1]],
+                      "radii": [10, 40]}, id="limit_r_fractional_numerator"),
+        pytest.param({"mode": "limit_r", "polynomials": [
+            [[[1, 2.0], [0, 1]]], PROBLEMS["limit_r"]["polynomials"][1]],
+                      "radii": [10, 40]}, id="limit_r_float_denominator"),
+        pytest.param(dict(PROBLEMS["example1"], n=2.5), id="example1_fractional_n"),
+        pytest.param(dict(PROBLEMS["example2"], m=5.5), id="example2_fractional_m"),
+        pytest.param(dict(PROBLEMS["truncation"], levels=[2, 4.5]),
+                     id="truncation_fractional_level"),
+    ])
+    def test_unrepresentable_input(self, tmp_path, capsys, problem):
+        # a value the program cannot represent exactly is an input error,
+        # not a numerical failure, a theorem violation or a truncation
+        code, doc = run_main(capsys, [write(tmp_path, problem)])
+        assert code == 4
+        assert doc["status"] == "input_error"
 
     @pytest.mark.parametrize("extra", [["--bogus"], ["--samples", "2048"],
                                        ["--radial", "64"], ["--tol", "1e-6"]])

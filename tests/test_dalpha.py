@@ -1,6 +1,8 @@
 """Weighted-space norms, the multiplication residual, truncation studies."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,14 @@ from diskabc import (NumericalFailure, PolyC, TruncationSchedule, UNIT_DISK,
                      r_alpha, r_alpha_area, truncation_study,
                      verify_theorem_41)
 from diskabc.abc_verifier import gapped_monomial_family, monomial_family
-from diskabc.families import random_blaschke, random_coeff_polyc
+from families import random_blaschke, random_coeff_polyc
 
 ALPHAS = (0.25, 0.5, 0.75)
+
+# D_alpha norms of the geometric_boundary truncations, K = 1..12, from the
+# partial-fraction/polylog closed form in mpmath (perfbench/oracles.py)
+TRUNCATION_NORMS = (Path(__file__).resolve().parent.parent / "perfbench"
+                    / "truncation_norms.json")
 
 
 def ref_ratio_constant_wronskian(n, alpha):
@@ -204,6 +211,17 @@ class TestTruncationStudy:
             want_b = sum(2.0 ** -k for k in range(1, row.K + 1))
             assert row.blaschke_sum == pytest.approx(want_b, rel=1e-12)
         assert rows[0].norm_sq < rows[1].norm_sq
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_geometric_rule_matches_mpmath(self, alpha):
+        # zeros up to 1 - 2^-12 from the circle: the coefficient tail only
+        # reaches rel 1e-9 when the adaptive cutoff meets its own target
+        want = json.loads(TRUNCATION_NORMS.read_text())[str(alpha)]
+        rows = truncation_study(
+            TruncationSchedule("geometric_boundary", tuple(range(1, 13))), alpha)
+        assert [r.K for r in rows] == list(range(1, 13))
+        for row in rows:
+            assert row.norm_sq == pytest.approx(want[str(row.K)], rel=1e-9)
 
     def test_empty_schedule(self):
         assert truncation_study(

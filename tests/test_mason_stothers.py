@@ -9,8 +9,8 @@ from diskabc import (DiskDomain, HypothesisFailure, LinearDependence, PolyQ,
                      build_system, lambda_mu_kappa, limit_R_study, verify,
                      verify_theorem_A, verify_theorem_B,
                      wronskian_degree_bound_check)
-from diskabc.families import (random_coprime_triple, random_independent_tuple,
-                              random_polyq)
+from families import (random_coprime_triple, random_independent_tuple,
+                      random_polyq)
 from diskabc.polycore import squarefree_part, wronskian
 
 

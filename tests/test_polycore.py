@@ -8,8 +8,9 @@ import pytest
 
 from diskabc import (GaussianRational, NumericalFailure, PolyC, PolyQ,
                      ZeroList, aberth_roots, gcd_exact,
-                     roots_with_multiplicity, squarefree_part, wronskian)
-from diskabc.families import random_polyq
+                     roots_with_multiplicity, squarefree_part, wronskian,
+                     zero_table)
+from families import random_polyq
 from diskabc.polycore import _determinant
 
 
@@ -405,3 +406,24 @@ class TestZeroList:
         a = ZeroList(((0.5, 1), (-0.3, 2)))
         b = ZeroList(((-0.3, 2), (0.5, 1)))
         assert a == b
+
+
+class TestZeroTable:
+    def test_rows(self):
+        # 0.5 and 0.5 + 1e-9 are one point across lists, at the weighted
+        # mean; a list with no zero there gets 0 in that column
+        rows = zero_table([[(0.5, 2), (-0.3, 1)], [(0.5 + 1e-9, 1)], []])
+        assert len(rows) == 2
+        (a, ma), (b, mb) = sorted(rows, key=lambda r: r[0].real)
+        assert (ma, mb) == ((1, 0, 0), (2, 1, 0))
+        assert a == -0.3 and b == pytest.approx(0.5 + 1e-9 / 3, abs=1e-15)
+
+    def test_empty(self):
+        assert zero_table([]) == ()
+        assert zero_table([[], ZeroList()]) == ()
+
+    def test_merged_is_one_column(self):
+        pairs = [(0.5, 1), (0.5 + 1e-9, 2), (-0.3, 1), (0.1j, 3)]
+        rows = zero_table([pairs])
+        assert all(len(ms) == 1 for _, ms in rows)
+        assert ZeroList.merged(pairs) == ZeroList(tuple((a, m) for a, (m,) in rows))

@@ -10,14 +10,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import beta as beta_fn
 from scipy.special import ellipe
 
-from diskabc import (AnalyticProduct, DiskDomain, HypothesisFailure,
+from diskabc import (DiskDomain, HypothesisFailure,
                      NumericalFailure, PolyC, UNIT_DISK,
                      boundary_extrema, boundary_integral, dalpha_norm_coeff,
                      dirichlet_norm_area, disk_area_mean, from_zeros,
                      inf_boundary, sup_boundary)
-from diskabc.families import random_coeff_polyc, random_smooth_pair
+from families import random_coeff_polyc, random_smooth_pair
 from diskabc.quadrature import _gauss_jacobi
-from references import dalpha_norm_area
+from references import AnalyticProduct, dalpha_norm_area
 
 
 def _in_disk_variable(coeffs, domain):
